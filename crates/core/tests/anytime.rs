@@ -10,8 +10,8 @@
 //! same tie-break — a reference that cannot depend on thread count. CI
 //! runs this binary under both `RAYON_NUM_THREADS=1` and `=4`; equality
 //! with the reference at both pool sizes is equality across pool sizes.
-//! (`bench-baseline --solvers` re-checks the same identity across real
-//! separate processes.)
+//! (`solver_api.rs` pins every solver's schedule checksum on two fixed
+//! instances, so it also fails if either pool size drifts.)
 
 use domatic_core::solver::{make_solver, Solver, SolverConfig, TraceIncumbent};
 use domatic_core::{Budget, PortfolioSolver, SaSolver, TabuSolver};

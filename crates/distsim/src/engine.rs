@@ -142,13 +142,12 @@ fn parallel_indexed<T: Send>(data: &mut [T], threads: usize, f: impl Fn(usize, &
         return;
     }
     let chunk = len.div_ceil(workers);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (i, part) in data.chunks_mut(chunk).enumerate() {
             let f = &f;
-            s.spawn(move |_| f(i * chunk, part));
+            s.spawn(move || f(i * chunk, part));
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 #[cfg(test)]

@@ -333,34 +333,6 @@ impl Graph {
         // Distance is symmetric, so the constructed adjacency is too.
         Graph::raw(offsets, targets)
     }
-
-    /// Relabels nodes in order of non-increasing degree (ties toward the
-    /// lower original id) and returns the relabeled graph together with the
-    /// permutation `perm`, where `perm[new_id] = old_id`.
-    ///
-    /// High-degree rows land first in the CSR arrays, which tightens the
-    /// working set of the greedy argmax loop and the bitmask kernels; the
-    /// `--reorder` flag of `bench-baseline` measures that effect rather
-    /// than assuming it.
-    pub fn degree_ordered(&self) -> (Graph, Vec<NodeId>) {
-        let n = self.n();
-        let mut perm: Vec<NodeId> = (0..n as NodeId).collect();
-        perm.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
-        let mut inv: Vec<NodeId> = vec![0; n];
-        for (new_id, &old) in perm.iter().enumerate() {
-            inv[old as usize] = new_id as NodeId;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(self.targets.len());
-        for &old in &perm {
-            let start = targets.len();
-            targets.extend(self.neighbors(old).iter().map(|&u| inv[u as usize]));
-            targets[start..].sort_unstable();
-            offsets.push(targets.len());
-        }
-        (Graph::raw(offsets, targets), perm)
-    }
 }
 
 impl fmt::Debug for Graph {
@@ -521,28 +493,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn degree_ordered_roundtrip() {
-        // star + pendant chain: distinct degrees force a real permutation.
-        let g = Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)]);
-        let (h, perm) = g.degree_ordered();
-        assert_eq!(h.n(), g.n());
-        assert_eq!(h.m(), g.m());
-        // Degrees are non-increasing in the new labeling.
-        for v in 1..h.n() {
-            assert!(h.degree(v as NodeId) <= h.degree(v as NodeId - 1));
-        }
-        // perm is a permutation of 0..n.
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..g.n() as NodeId).collect::<Vec<_>>());
-        // Mapping the relabeled edges back through perm reconstructs g.
-        let back: Vec<(NodeId, NodeId)> = h
-            .edges()
-            .map(|(u, v)| (perm[u as usize], perm[v as usize]))
-            .collect();
-        assert_eq!(Graph::from_edges(g.n(), &back), g);
     }
 }

@@ -49,9 +49,9 @@ pub const BITS_BUILD_THRESHOLD: usize = 512;
 ///
 /// Gated by density: a row scan touches `⌈n/64⌉` words per node while the
 /// CSR walk touches one neighbor per probe, so the rows only pay off when
-/// the average closed degree is at least the row width (the crossover the
-/// committed `BENCH_kernels.json` pins: ~5-6x faster at degree ≈ 4x row
-/// width, ~2x *slower* when the walk is narrower than the row).
+/// the average closed degree is at least the row width (the crossover
+/// measured in `docs/PROFILING.md`: 5-11x faster at degree ≈ 4x row
+/// width, ~1.4x *slower* when the walk is narrower than the row).
 fn bits_for(g: &Graph) -> Option<&NeighborhoodBits> {
     let n = g.n();
     if n == 0 || n.div_ceil(64) > 2 * g.m() / n + 1 {

@@ -406,17 +406,16 @@ mod tests {
     #[test]
     fn concurrent_counter_increments_from_scoped_threads() {
         let r = Registry::new();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = r.counter("hits");
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..10_000 {
                         c.incr();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(r.counter_value("hits"), 80_000);
     }
 }

@@ -5,8 +5,8 @@
 //! records elapsed wall time into the global registry's span aggregates.
 //! When telemetry is disabled (no sink attached — the default), entering
 //! a span is a single relaxed atomic increment and drop is free; the
-//! instrumented hot paths cost nothing measurable. See the
-//! `telemetry_overhead` bench in `crates/bench`.
+//! instrumented hot paths cost nothing measurable. The benchmark harness
+//! in `benchmark/` times those paths end to end with no sink attached.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

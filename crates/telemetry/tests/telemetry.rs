@@ -81,11 +81,11 @@ fn concurrent_counter_increments_sum_exactly() {
     let reg = Registry::new();
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 25_000;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
             let c = reg.counter("conc.hits");
             let h = reg.histogram("conc.obs");
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     c.incr();
                     if i % 1000 == 0 {
@@ -94,8 +94,7 @@ fn concurrent_counter_increments_sum_exactly() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(reg.counter_value("conc.hits"), THREADS as u64 * PER_THREAD);
     assert_eq!(reg.histogram("conc.obs").count(), (THREADS * 25) as u64);
 

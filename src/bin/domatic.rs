@@ -1101,6 +1101,15 @@ fn bench_die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Nearest-rank `p` quantile of an ascending sample: its `⌈p·n⌉`-th
+/// smallest value, or 0 for an empty sample.
+fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    // The epsilon keeps an exact product such as 0.9 · 10 at rank 9.
+    let rank = (p * sorted.len() as f64 - 1e-9).ceil() as usize;
+    let rank = rank.clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
+
 /// One bench connection in the evented client.
 struct BenchConn {
     stream: std::net::TcpStream,
@@ -1364,13 +1373,7 @@ fn run_evented_bench(
     let wall = started.elapsed();
 
     latencies_us.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies_us.len() as f64 - 1.0) * p).round() as usize;
-        latencies_us[idx]
-    };
+    let pct = |p| nearest_rank(&latencies_us, p);
     let (p50, p99, p999) = (pct(0.50), pct(0.99), pct(0.999));
     let throughput = responses.len() as f64 / wall.as_secs_f64().max(1e-9);
 
@@ -1630,6 +1633,9 @@ impl ScenarioClient {
             eprintln!("cannot connect to {addr}: {e}");
             std::process::exit(1);
         });
+        // Strict request/response: with Nagle on, a request can sit
+        // behind the server's delayed ACK for ~40 ms.
+        let _ = stream.set_nodelay(true);
         let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
         ScenarioClient {
             stream,
@@ -1638,16 +1644,19 @@ impl ScenarioClient {
         }
     }
 
-    /// Sends `{"id":<next>,<body>}` and blocks for the one response
-    /// line. Returns the trimmed line and the round-trip micros.
+    /// Sends `{"id":<next>,<body>}` as one write and blocks for the one
+    /// response line. Returns the trimmed line and the round-trip micros.
     fn rpc(&mut self, body: &str) -> (String, u64) {
         use std::io::{BufRead, Write};
         self.next_id += 1;
+        let request = format!("{{\"id\":{},{body}}}\n", self.next_id);
         let start = std::time::Instant::now();
-        writeln!(self.stream, "{{\"id\":{},{body}}}", self.next_id).unwrap_or_else(|e| {
-            eprintln!("scenario: write failed: {e}");
-            std::process::exit(1);
-        });
+        self.stream
+            .write_all(request.as_bytes())
+            .unwrap_or_else(|e| {
+                eprintln!("scenario: write failed: {e}");
+                std::process::exit(1);
+            });
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => {
@@ -1771,17 +1780,9 @@ impl ScenarioRun {
         h.finish()
     }
 
-    fn quantile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
-    }
-
     /// The campaign's row in `BENCH_scenarios.json` — alphabetical
     /// field order, hand-rendered like every other bench artifact.
+    /// Expects `latencies_us` sorted.
     fn row(&self) -> String {
         format!(
             "{{\"digest\":\"{:016x}\",\"errors\":{},\"mutations\":{},\"name\":\"{}\",\"p50_us\":{},\"p99_us\":{},\"requests\":{},\"solves\":{},\"wall_ms\":{}}}",
@@ -1789,8 +1790,8 @@ impl ScenarioRun {
             self.errors,
             self.mutations,
             self.name,
-            self.quantile_us(0.50),
-            self.quantile_us(0.99),
+            nearest_rank(&self.latencies_us, 0.50),
+            nearest_rank(&self.latencies_us, 0.99),
             self.lines.len(),
             self.solves,
             self.wall_ms
@@ -1970,14 +1971,15 @@ fn cmd_scenario(rest: &[String]) {
         std::process::exit(2);
     }
     let mut client = ScenarioClient::connect(&addr);
-    let runs = [
+    let mut runs = [
         scenario_crash_wave(&mut client, quick, seed),
         scenario_link_flap(&mut client, quick, seed),
         scenario_battery_recharge(&mut client, quick, seed),
         scenario_dense_growth(&mut client, quick, seed),
     ];
     let mut failed = false;
-    for run in &runs {
+    for run in &mut runs {
+        run.latencies_us.sort_unstable();
         eprintln!(
             "scenario {}: {} requests ({} mutations, {} solves), {} errors, digest {:016x}, p99 {} us, {} ms",
             run.name,
@@ -1986,7 +1988,7 @@ fn cmd_scenario(rest: &[String]) {
             run.solves,
             run.errors,
             run.digest(),
-            run.quantile_us(0.99),
+            nearest_rank(&run.latencies_us, 0.99),
             run.wall_ms
         );
         for v in &run.violations {
@@ -2011,5 +2013,21 @@ fn cmd_scenario(rest: &[String]) {
     eprintln!("scenario: wrote {out}");
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn nearest_rank_on_known_samples() {
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+        let ten: Vec<u64> = (1..=10).collect();
+        assert_eq!(nearest_rank(&ten, 0.0), 1);
+        assert_eq!(nearest_rank(&ten, 0.5), 5);
+        assert_eq!(nearest_rank(&ten, 0.9), 9);
+        assert_eq!(nearest_rank(&ten, 0.99), 10);
+        assert_eq!(nearest_rank(&[7], 0.999), 7);
     }
 }

@@ -2,8 +2,10 @@
 //! with `--access-log` + `--metrics-port`, drives mixed traffic over
 //! TCP, then runs `domatic top` and `domatic profile` as subprocesses
 //! against the live server — the acceptance path for the tracing,
-//! exposition, and profiling surface.
+//! exposition, and profiling surface. A second test replays the
+//! `domatic scenario` churn campaigns against the same kind of server.
 
+use domatic_telemetry::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -24,9 +26,9 @@ impl Drop for ServerProc {
     }
 }
 
-/// Starts `domatic serve` on ephemeral ports and reads both announced
-/// addresses off its stdout.
-fn start_server(access_log: &std::path::Path) -> ServerProc {
+/// Starts `domatic serve` with the `name=spec` graphs on ephemeral ports
+/// and reads both announced addresses off its stdout.
+fn start_server(access_log: &std::path::Path, graphs: &[&str]) -> ServerProc {
     let mut child = Command::new(BIN)
         .args([
             "serve",
@@ -34,12 +36,11 @@ fn start_server(access_log: &std::path::Path) -> ServerProc {
             "0",
             "--metrics-port",
             "0",
-            "--graph",
-            "main=ring:24",
             "--batch-window-ms",
             "0",
-            "--access-log",
         ])
+        .args(graphs.iter().flat_map(|g| ["--graph", g]))
+        .arg("--access-log")
         .arg(access_log)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -98,7 +99,7 @@ fn top_and_profile_run_against_a_live_server() {
     let dir = std::env::temp_dir().join(format!("domatic-obs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let log_path = dir.join("access.jsonl");
-    let server = start_server(&log_path);
+    let server = start_server(&log_path, &["main=ring:24"]);
     drive_traffic(&server.addr, 12);
 
     // `domatic top` completes a bounded number of refresh frames.
@@ -174,6 +175,55 @@ fn top_and_profile_run_against_a_live_server() {
         };
         let prev = last.insert(trace, t_us).unwrap_or(0);
         assert!(t_us >= prev, "timestamps regress in trace {trace}: {line}");
+    }
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `rows` of a `BENCH_scenarios.json` document.
+fn scenario_rows(doc: &str) -> Vec<Json> {
+    let doc = domatic_telemetry::json::parse(doc).expect("scenario JSON parses");
+    match doc.get("rows") {
+        Some(Json::Arr(rows)) => rows.clone(),
+        other => panic!("no rows array: {other:?}"),
+    }
+}
+
+#[test]
+fn scenario_campaigns_reproduce_the_committed_digests_without_stalling() {
+    let dir = std::env::temp_dir().join(format!("domatic-scenario-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The four campaign graphs, as in the CI scenario-matrix job.
+    let server = start_server(
+        &dir.join("access.jsonl"),
+        &[
+            "crash=gnp:32,5.0,7",
+            "flap=ring:24",
+            "recharge=ring:18",
+            "dense=dense:12,3",
+        ],
+    );
+    let out = dir.join("scenarios.json");
+    let run = Command::new(BIN)
+        .args(["scenario", "--addr", &server.addr, "--quick", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run domatic scenario");
+    assert!(run.status.success(), "scenario failed: {run:?}");
+
+    let committed = scenario_rows(include_str!("../BENCH_scenarios.json"));
+    let fresh = scenario_rows(&std::fs::read_to_string(&out).expect("scenario output"));
+    assert_eq!(fresh.len(), committed.len());
+    for (row, want) in fresh.iter().zip(&committed) {
+        let name = row.get("name").and_then(Json::as_str).expect("row name");
+        assert_eq!(Some(name), want.get("name").and_then(Json::as_str));
+        assert_eq!(row.get("digest"), want.get("digest"), "{name}");
+        assert_eq!(row.get("requests"), want.get("requests"), "{name}");
+        // A round trip waiting on a delayed ACK takes ~40 ms; a served
+        // request here takes a few.
+        let p50 = row.get("p50_us").and_then(Json::as_int).expect("p50_us");
+        assert!(p50 < 20_000, "{name}: p50 {p50} us");
     }
 
     drop(server);
