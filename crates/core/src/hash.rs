@@ -120,9 +120,9 @@ pub fn config_hash(cfg: &SolverConfig) -> u64 {
 
 /// Canonical content hash of a graph version: the plain [`graph_hash`]
 /// when no battery overrides are pinned (so a mutated graph hashes
-/// identically to the same topology registered fresh — the serve
-/// cache's incremental-repair equivalence depends on this), and a
-/// domain-separated hash over the topology plus the sorted
+/// identically to the same topology registered fresh, and a
+/// post-mutation solve serves the same bytes as a fresh registration),
+/// and a domain-separated hash over the topology plus the sorted
 /// `(node, value)` override pairs otherwise.
 pub fn versioned_graph_hash(g: &Graph, overrides: &std::collections::BTreeMap<u32, u64>) -> u64 {
     if overrides.is_empty() {

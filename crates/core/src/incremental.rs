@@ -1,38 +1,37 @@
-//! Incremental re-solve for dynamic graphs (ROADMAP item 4).
+//! Graph deltas for dynamic graphs.
 //!
 //! A live deployment churns: nodes crash, links flap, batteries drain
 //! and recharge. The serving tier models each churn event as a
 //! [`GraphDelta`] applied to a named graph, producing a new graph
-//! version. This module holds the version-agnostic algorithmic core:
-//! applying a delta to a topology, projecting a schedule computed on the
-//! pre-delta graph onto the post-delta node universe (reusing the same
-//! index-compaction rules as the subgraph machinery the adaptive runtime
-//! is built on), and [`repair_schedule`] — the repair-then-certify
-//! entry point the server's solve path calls.
+//! version. [`GraphDelta::apply`] is the version-agnostic core: it
+//! rewrites a topology with the same index-compaction rules as the
+//! subgraph machinery the adaptive runtime is built on, and it rejects
+//! no-op writes so every applied delta yields a new version.
 //!
-//! # Repair-then-certify
+//! # Why there is no repair
 //!
 //! The serving tier's contract is that response bytes are a pure
-//! function of `(graph content, batteries, request)` — independent of
-//! threads, batching, cache state, and, now, of *how the graph came to
-//! be* (mutated in place vs registered fresh). A repaired schedule that
-//! merely *valid* but different from what a fresh solve would produce
-//! would break that contract: the same `graph_hash` could cache two
-//! different payloads depending on mutation history. So repair here is
-//! a *certified* fast path: project the previous schedule through the
-//! delta, clip it to its longest valid prefix, run the solver on the
-//! mutated graph, and report [`RepairMode::Repaired`] exactly when the
-//! projected candidate already equals the fresh solution. The response
-//! is always rendered from the fresh solution, so byte-identity holds
-//! by construction; the mode is an honest telemetry signal of schedule
-//! stability under churn (how often the old plan survives the delta),
-//! not a correctness-relevant branch.
+//! function of `(graph content, batteries, request)`, independent of
+//! how the graph came to be (mutated in place or registered fresh).
+//! Versions are content-addressed
+//! ([`versioned_graph_hash`](crate::hash::versioned_graph_hash)), so a
+//! solve after a mutation is an ordinary solve of the new content: the
+//! same [`Solver::schedule`](crate::solver::Solver::schedule) call as
+//! any other cache miss, and byte-identical to a fresh registration by
+//! construction.
+//!
+//! Reusing the previous version's schedule would have to keep that
+//! contract. A repair that returns a schedule which is merely *valid*
+//! would let one graph hash cache two payloads depending on history,
+//! and a repair that runs the full solve anyway to check itself saves
+//! nothing. A future repair must therefore come with a per-solver
+//! locality proof: that solver's output outside the delta's d-hop ball
+//! provably does not change, so the unchanged part can be copied and
+//! only the ball re-solved. It must also come with a benchmark row
+//! showing that it beats a full solve.
 
 use crate::error::DomaticError;
-use crate::solver::{effective_graph, Solver, SolverConfig};
-use domatic_graph::{Graph, NodeId, NodeSet};
-use domatic_schedule::validate::longest_valid_prefix;
-use domatic_schedule::{Batteries, Schedule};
+use domatic_graph::{Graph, NodeId};
 
 /// One churn event against a graph version.
 ///
@@ -164,116 +163,11 @@ fn undirected_edges(g: &Graph) -> Vec<(NodeId, NodeId)> {
     edges
 }
 
-/// Projects a schedule computed on the pre-delta graph onto the
-/// post-delta node universe (`n_new` nodes).
-///
-/// Set membership follows the same compaction rules as the delta
-/// itself: removed nodes drop out of every set and survivors' ids
-/// shift; added nodes are simply absent from every projected set;
-/// edge and battery deltas keep membership as-is. The result is a
-/// *candidate* — entries may no longer dominate or fit the batteries,
-/// which is what [`repair_schedule`]'s certify step sorts out.
-pub fn project_through_delta(prev: &Schedule, delta: &GraphDelta, n_new: usize) -> Schedule {
-    let mut out = Schedule::new();
-    for e in prev.entries() {
-        let set = match delta {
-            GraphDelta::RemoveNode { node } => NodeSet::from_iter(
-                n_new,
-                e.set
-                    .iter()
-                    .filter(|&v| v != *node)
-                    .map(|v| if v > *node { v - 1 } else { v }),
-            ),
-            _ => NodeSet::from_iter(n_new, e.set.iter().filter(|&v| (v as usize) < n_new)),
-        };
-        if set.is_empty() {
-            continue;
-        }
-        out.push(set, e.duration);
-    }
-    out
-}
-
-/// How a repair attempt resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairMode {
-    /// The projected + clipped previous schedule already equals the
-    /// fresh solution — the old plan survived the delta intact.
-    Repaired,
-    /// The projected candidate was invalid, worse, or merely different;
-    /// the full re-solve's answer is the one that counts.
-    FullResolve,
-}
-
-impl RepairMode {
-    /// The matching trace-event name
-    /// (`incremental_repair` / `full_resolve_fallback`).
-    pub fn trace_event(self) -> &'static str {
-        match self {
-            RepairMode::Repaired => "incremental_repair",
-            RepairMode::FullResolve => "full_resolve_fallback",
-        }
-    }
-}
-
-/// A certified repair: the schedule to serve plus how it was obtained.
-#[derive(Clone, Debug)]
-pub struct RepairOutcome {
-    /// Always the fresh solver output for the mutated instance —
-    /// byte-identical to what a from-scratch solve would produce.
-    pub schedule: Schedule,
-    /// Whether the projected previous schedule certified as equal.
-    pub mode: RepairMode,
-}
-
-/// Repairs `prev` (solved on the pre-delta graph) against `delta` for
-/// the mutated instance `(g_new, b_new)`: project, clip to the longest
-/// valid prefix, re-solve, and certify. See the module docs for why the
-/// fresh solution is always the one returned.
-pub fn repair_schedule(
-    g_new: &Graph,
-    b_new: &Batteries,
-    prev: &Schedule,
-    delta: &GraphDelta,
-    solver: &dyn Solver,
-    cfg: &SolverConfig,
-) -> Result<RepairOutcome, DomaticError> {
-    let eff = effective_graph(g_new, cfg.hops);
-    let tol = solver.tolerance(cfg);
-    let candidate = longest_valid_prefix(
-        &eff,
-        b_new,
-        &project_through_delta(prev, delta, g_new.n()),
-        tol,
-    );
-    let fresh = solver.schedule(g_new, b_new, cfg)?;
-    let mode = if !candidate.is_empty() && candidate == fresh {
-        RepairMode::Repaired
-    } else {
-        RepairMode::FullResolve
-    };
-    Ok(RepairOutcome {
-        schedule: fresh,
-        mode,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solver_registry;
     use domatic_graph::generators::regular::cycle;
-
-    fn greedy() -> Box<dyn Solver> {
-        solver_registry()
-            .into_iter()
-            .find(|s| s.name() == "greedy")
-            .expect("greedy solver registered")
-    }
-
-    fn cfg() -> SolverConfig {
-        SolverConfig::default()
-    }
+    use domatic_graph::NodeSet;
 
     #[test]
     fn add_edge_then_remove_edge_round_trips() {
@@ -325,50 +219,5 @@ mod tests {
     fn removing_last_node_is_rejected() {
         let g = Graph::from_edges(1, &[]);
         assert!(GraphDelta::RemoveNode { node: 0 }.apply(&g).is_err());
-    }
-
-    #[test]
-    fn projection_remaps_sets_through_remove_node() {
-        let mut prev = Schedule::new();
-        prev.push(NodeSet::from_iter(5, [0, 2, 4]), 3);
-        let delta = GraphDelta::RemoveNode { node: 2 };
-        let proj = project_through_delta(&prev, &delta, 4);
-        assert_eq!(proj.entries()[0].set.to_vec(), vec![0, 3]);
-        assert_eq!(proj.entries()[0].duration, 3);
-    }
-
-    #[test]
-    fn repair_certifies_when_delta_leaves_the_solution_intact() {
-        // Triangle plus a pendant node hanging off node 0, and a far
-        // isolated-ish extra node 4 joined to everything so removing an
-        // edge inside the triangle leaves greedy's plan unchanged.
-        // Empirically: greedy on a cycle is stable under removing a
-        // *chord* it never used. Build that: cycle(6) plus chord (0,3);
-        // solve the chorded graph, then remove the chord.
-        let chorded = GraphDelta::AddEdge { u: 0, v: 3 }.apply(&cycle(6)).unwrap();
-        let b = Batteries::uniform(6, 2);
-        let solver = greedy();
-        let prev = solver.schedule(&chorded, &b, &cfg()).unwrap();
-        let delta = GraphDelta::RemoveEdge { u: 0, v: 3 };
-        let g_new = delta.apply(&chorded).unwrap();
-        let out = repair_schedule(&g_new, &b, &prev, &delta, solver.as_ref(), &cfg()).unwrap();
-        let fresh = solver.schedule(&g_new, &b, &cfg()).unwrap();
-        assert_eq!(out.schedule, fresh, "repair must return the fresh solution");
-        if out.mode == RepairMode::Repaired {
-            assert_eq!(prev, fresh, "certified repair implies stability");
-        }
-    }
-
-    #[test]
-    fn repair_always_returns_the_fresh_solution() {
-        let g0 = cycle(9);
-        let b0 = Batteries::uniform(9, 2);
-        let solver = greedy();
-        let prev = solver.schedule(&g0, &b0, &cfg()).unwrap();
-        let delta = GraphDelta::RemoveNode { node: 4 };
-        let g1 = delta.apply(&g0).unwrap();
-        let b1 = Batteries::uniform(8, 2);
-        let out = repair_schedule(&g1, &b1, &prev, &delta, solver.as_ref(), &cfg()).unwrap();
-        assert_eq!(out.schedule, solver.schedule(&g1, &b1, &cfg()).unwrap());
     }
 }

@@ -44,11 +44,11 @@ pub struct TraceRecord {
     pub trace: u64,
     /// The client's request id.
     pub id: u64,
-    /// Op name (`solve` / `bounds` / `adapt`).
+    /// Op name (`solve` / `bounds` / `adapt` / `mutate`).
     pub op: &'static str,
     /// Graph the request ran against.
     pub graph: String,
-    /// Solver name.
+    /// Solver name; empty for `bounds` and `mutate`, which run none.
     pub alg: String,
     /// How the request ended: `ok`, `error`, `shed`, or `deadline`.
     pub outcome: &'static str,
@@ -97,7 +97,7 @@ pub struct ReqTrace {
     pub op: &'static str,
     /// Graph name.
     pub graph: String,
-    /// Solver name.
+    /// Solver name (empty when the op runs none).
     pub alg: String,
     t0_us: u64,
     events: Mutex<Vec<(&'static str, u64)>>,

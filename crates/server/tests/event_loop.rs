@@ -3,28 +3,15 @@
 //! handlers), shard-count response invariance, and the telemetry the
 //! shards export.
 
-use domatic_graph::Graph;
-use domatic_server::server::ResponseSink;
+mod common;
+
+use common::*;
 use domatic_server::{Server, ServerConfig};
 use domatic_telemetry::json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn ring_graph(n: u32) -> Graph {
-    let edges: Vec<(u32, u32)> = (0..n)
-        .flat_map(|i| [(i, (i + 1) % n), (i, (i + 3) % n)])
-        .collect();
-    Graph::from_edges(n as usize, &edges)
-}
-
-fn make_server(cfg: ServerConfig) -> Arc<Server> {
-    let server = Server::new(cfg);
-    server.add_graph("ring", ring_graph(24));
-    server.add_graph("ring2", ring_graph(30));
-    Arc::new(server)
-}
 
 /// Starts `serve_tcp` on an ephemeral port; returns the bound address
 /// and the serve thread (joined by sending a `shutdown` line).
@@ -45,34 +32,6 @@ fn shutdown(addr: std::net::SocketAddr, handle: std::thread::JoinHandle<()>) {
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("draining"), "{line}");
     handle.join().unwrap();
-}
-
-fn sink() -> (Arc<Mutex<Vec<u8>>>, ResponseSink) {
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let dyn_sink: ResponseSink = buf.clone();
-    (buf, dyn_sink)
-}
-
-fn wait_lines(buf: &Arc<Mutex<Vec<u8>>>, n: usize) -> Vec<String> {
-    let start = Instant::now();
-    loop {
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let have: Vec<String> = text.lines().map(str::to_string).collect();
-        if have.len() >= n {
-            return have;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(20),
-            "timed out at {} of {n} responses: {have:?}",
-            have.len()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn id_of(line: &str) -> u64 {
-    let v = json::parse(line).unwrap();
-    u64::try_from(v.get("id").unwrap().as_int().unwrap()).unwrap()
 }
 
 /// A pipelined workload whose completion order differs from receipt

@@ -1,29 +1,23 @@
 //! Integration tests for the dynamic-graph surface: the `mutate` op's
-//! wire shape, per-op incremental-repair equivalence (a repaired solve
-//! must be byte-identical to a from-scratch solve of the mutated
-//! topology), and the cache's lineage-invalidation invariant — a
-//! mutation retires exactly its own superseded version, never a
-//! sibling graph's entries, and the cache never holds an entry keyed
-//! by an ancestor hash (property-tested over random mutation
+//! wire shape, per-op equivalence (a solve after a mutation is an
+//! ordinary cache-miss solve, byte-identical to a solve of the same
+//! content registered fresh), and the cache's lineage-invalidation
+//! invariant — a mutation retires exactly its own superseded version,
+//! never a sibling graph's entries, and the cache never holds an entry
+//! keyed by a superseded hash (property-tested over random mutation
 //! sequences).
 
+mod common;
+
+use common::*;
 use domatic_core::{graph_hash, versioned_graph_hash};
 use domatic_graph::Graph;
-use domatic_server::server::ResponseSink;
 use domatic_server::{Server, ServerConfig};
 use domatic_telemetry::json;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// The CI smoke topology: a ring with skip-3 chords, solvable at b ≥ 1.
-fn ring_graph(n: u32) -> Graph {
-    let edges: Vec<(u32, u32)> = (0..n)
-        .flat_map(|i| [(i, (i + 1) % n), (i, (i + 3) % n)])
-        .collect();
-    Graph::from_edges(n as usize, &edges)
-}
+use std::time::Duration;
 
 /// Edge list of a graph as sorted (min, max) pairs — for building
 /// expected mutated topologies by hand.
@@ -53,59 +47,9 @@ fn server_with(graphs: &[(&str, Graph)]) -> Arc<Server> {
     Arc::new(server)
 }
 
-fn sink() -> (Arc<Mutex<Vec<u8>>>, ResponseSink) {
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let dyn_sink: ResponseSink = buf.clone();
-    (buf, dyn_sink)
-}
-
-fn lines(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<String> {
-    let bytes = buf.lock().unwrap();
-    String::from_utf8(bytes.clone())
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect()
-}
-
-/// Polls until `n` response lines have arrived (solves are async).
-fn wait_lines(buf: &Arc<Mutex<Vec<u8>>>, n: usize) -> Vec<String> {
-    let start = Instant::now();
-    loop {
-        let have = lines(buf);
-        if have.len() >= n {
-            return have;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(20),
-            "timed out at {} of {n} responses: {have:?}",
-            have.len()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// The rendered `result` payload of a response line (panics on errors).
-fn result_of(line: &str) -> String {
-    let prefix = line
-        .find("\"result\":")
-        .unwrap_or_else(|| panic!("not an ok response: {line}"));
-    line[prefix + "\"result\":".len()..line.len() - 1].to_string()
-}
-
 fn is_ok(line: &str) -> bool {
     let v = json::parse(line).unwrap();
     v.get("ok") == Some(&json::Json::Bool(true))
-}
-
-fn error_kind(line: &str) -> String {
-    let v = json::parse(line).unwrap();
-    assert_eq!(v.get("ok"), Some(&json::Json::Bool(false)), "{line}");
-    v.get("error")
-        .and_then(|e| e.get("kind"))
-        .and_then(|k| k.as_str())
-        .unwrap()
-        .to_string()
 }
 
 /// Sends one request line and returns its (single) response. Mutations
@@ -140,10 +84,10 @@ fn mutate_response_shape_is_pinned() {
             mutated.m()
         )
     );
-    let (hash, version, ancestors) = server.graph_lineage("ring").unwrap();
-    assert_eq!(hash, graph_hash(&mutated));
-    assert_eq!(version, 1);
-    assert_eq!(ancestors, vec![parent]);
+    assert_eq!(
+        server.graph_lineage("ring").unwrap(),
+        (graph_hash(&mutated), 1)
+    );
 }
 
 #[test]
@@ -168,12 +112,13 @@ fn rejected_mutation_leaves_lineage_and_stats_unchanged() {
     assert_eq!(error_kind(&line), "unknown_graph");
 }
 
-/// The tentpole equivalence guarantee, per mutation op: mutate a served
-/// graph, solve it (which takes the incremental-repair path seeded by
-/// the pre-mutation solve), and require the response bytes to equal a
-/// fresh server's from-scratch solve of the same mutated topology.
+/// The equivalence guarantee, per mutation op: mutate a served graph,
+/// solve it, and require the response bytes to equal a fresh server's
+/// solve of the same content registered fresh. The post-mutation solve
+/// is an ordinary cache miss: its trace carries exactly the plain
+/// miss lifecycle, nothing mutation-specific.
 #[test]
-fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
+fn post_mutation_solves_equal_fresh_registrations_for_every_op() {
     let base = ring_graph(24);
     let base_edges = edge_list(&base);
 
@@ -218,26 +163,43 @@ fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
     ));
 
     for (body, expected_graph, overrides) in cases {
-        // Server A: register, solve (seeds the repair hint), mutate,
-        // solve again — the second solve runs the repair path.
+        // Server A: register, solve, mutate, solve again.
         let a = server_with(&[("g", base.clone())]);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        a.set_access_log(Box::new(SharedLog(Arc::clone(&log))));
         assert!(is_ok(&roundtrip(&a, &solve_line(1, "g"))));
         let mutate = roundtrip(
             &a,
             &format!("{{\"id\":2,\"op\":\"mutate\",\"graph\":\"g\",{body}}}"),
         );
         assert!(is_ok(&mutate), "{body}: {mutate}");
-        let repaired = roundtrip(&a, &solve_line(3, "g"));
-        assert!(is_ok(&repaired), "{body}: {repaired}");
-        let stats = a.stats();
+        let mutated = roundtrip(&a, &solve_line(3, "g"));
+        assert!(is_ok(&mutated), "{body}: {mutated}");
+        // The `written` event is logged just after the response bytes;
+        // draining waits for it.
+        a.drain();
+        let events: Vec<String> = lines(&log)
+            .iter()
+            .map(|l| json::parse(l).unwrap())
+            .filter(|v| v.get("id").and_then(|i| i.as_int()) == Some(3))
+            .map(|v| v.get("event").and_then(|e| e.as_str()).unwrap().to_string())
+            .collect();
         assert_eq!(
-            stats.repairs + stats.repair_fallbacks,
-            1,
-            "{body}: post-mutation solve must take the repair path"
+            events,
+            [
+                "received",
+                "admitted",
+                "cache_miss",
+                "solve_start",
+                "solve_end",
+                "rendered",
+                "written"
+            ],
+            "{body}: the post-mutation solve is a plain cache miss"
         );
 
         // Server B: the mutated topology registered fresh — no history,
-        // no hints, a cold cache.
+        // a cold cache.
         let b = Server::new(ServerConfig {
             capacity: 8,
             batch_window: Duration::ZERO,
@@ -248,9 +210,9 @@ fn repaired_solves_are_byte_identical_to_from_scratch_solves_for_every_op() {
         let b = Arc::new(b);
         let scratch = roundtrip(&b, &solve_line(3, "g"));
         assert_eq!(
-            result_of(&repaired),
+            result_of(&mutated),
             result_of(&scratch),
-            "{body}: repaired solve must be byte-identical to from-scratch"
+            "{body}: post-mutation solve must be byte-identical to a fresh registration"
         );
 
         // And the lineage agrees: server A's live hash is exactly the

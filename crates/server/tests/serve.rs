@@ -5,84 +5,15 @@
 //! transport loops are thin wrappers around it — and one test runs the
 //! real TCP path end to end.
 
-use domatic_graph::Graph;
-use domatic_server::server::ResponseSink;
+mod common;
+
+use common::*;
 use domatic_server::{Server, ServerConfig};
 use domatic_telemetry::json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// The CI smoke topology: a ring with skip-3 chords, solvable at b ≥ 1.
-fn ring_graph(n: u32) -> Graph {
-    let edges: Vec<(u32, u32)> = (0..n)
-        .flat_map(|i| [(i, (i + 1) % n), (i, (i + 3) % n)])
-        .collect();
-    Graph::from_edges(n as usize, &edges)
-}
-
-fn make_server(cfg: ServerConfig) -> Arc<Server> {
-    let server = Server::new(cfg);
-    server.add_graph("ring", ring_graph(24));
-    server.add_graph("ring2", ring_graph(30));
-    Arc::new(server)
-}
-
-fn sink() -> (Arc<Mutex<Vec<u8>>>, ResponseSink) {
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let dyn_sink: ResponseSink = buf.clone();
-    (buf, dyn_sink)
-}
-
-fn lines(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<String> {
-    let bytes = buf.lock().unwrap();
-    String::from_utf8(bytes.clone())
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect()
-}
-
-/// Polls until `n` response lines have arrived (jobs are asynchronous).
-fn wait_lines(buf: &Arc<Mutex<Vec<u8>>>, n: usize) -> Vec<String> {
-    let start = Instant::now();
-    loop {
-        let have = lines(buf);
-        if have.len() >= n {
-            return have;
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(20),
-            "timed out at {} of {n} responses: {have:?}",
-            have.len()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// The rendered `result` payload of a response line (panics on errors).
-fn result_of(line: &str) -> String {
-    let prefix = line
-        .find("\"result\":")
-        .unwrap_or_else(|| panic!("not an ok response: {line}"));
-    line[prefix + "\"result\":".len()..line.len() - 1].to_string()
-}
-
-fn id_of(line: &str) -> u64 {
-    let v = json::parse(line).unwrap();
-    u64::try_from(v.get("id").unwrap().as_int().unwrap()).unwrap()
-}
-
-fn error_kind(line: &str) -> String {
-    let v = json::parse(line).unwrap();
-    assert_eq!(v.get("ok"), Some(&json::Json::Bool(false)), "{line}");
-    v.get("error")
-        .and_then(|e| e.get("kind"))
-        .and_then(|k| k.as_str())
-        .unwrap()
-        .to_string()
-}
+use std::time::Duration;
 
 #[test]
 fn batched_duplicates_run_exactly_one_solve_and_fan_out_identically() {
@@ -591,22 +522,16 @@ fn stats_op_reports_counters_inline() {
     server.handle_line(r#"{"id":2,"op":"stats"}"#, &sink);
     let responses = wait_lines(&buf, 2);
     assert!(responses[0].contains("\"pong\":true"));
-    let v = json::parse(&result_of(&responses[1])).unwrap();
-    assert_eq!(v.get("requests").unwrap().as_int().unwrap(), 2);
-}
-
-/// A `Write` adapter over a shared byte buffer, used as an access-log
-/// sink in tests.
-struct SharedLog(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedLog {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+    // The exact 17-key payload, in its fixed (alphabetical) order.
+    assert_eq!(
+        result_of(&responses[1]),
+        concat!(
+            r#"{"batch_joined":0,"cache_bytes":0,"cache_entries":0,"cache_evictions":0,"#,
+            r#""cache_hits":0,"cache_misses":0,"connections":0,"deadline_expired":0,"#,
+            r#""errors":0,"inflight":0,"lineage_invalidations":0,"mutations":0,"#,
+            r#""overloads":0,"requests":2,"shed_join":0,"shed_miss":0,"solves":0}"#,
+        )
+    );
 }
 
 #[test]
@@ -686,6 +611,13 @@ fn access_log_traces_the_lifecycle_without_changing_response_bytes() {
             "missing event {required}: {log:?}"
         );
     }
+    // `bounds` runs no solver, so its `received` event names none.
+    assert!(
+        log.iter()
+            .any(|l| l.starts_with(r#"{"alg":"","event":"received""#)
+                && l.contains(r#""op":"bounds""#)),
+        "bounds received event: {log:?}"
+    );
     // No trace id ever appears in a response line.
     for line in &traced {
         assert!(
@@ -750,6 +682,40 @@ fn metrics_op_returns_valid_prometheus_exposition() {
 }
 
 #[test]
+fn bounds_traffic_feeds_no_solve_latency_series() {
+    // The telemetry registry is process-global: a graph name no other
+    // test uses keeps their solves out of this assertion.
+    let graph = "bounds_only_probe";
+    let server = Server::new(ServerConfig {
+        batch_window: Duration::ZERO,
+        ..ServerConfig::default()
+    });
+    server.add_graph(graph, ring_graph(12));
+    let server = Arc::new(server);
+    let (buf, sink) = sink();
+    let line = format!("{{\"id\":1,\"op\":\"bounds\",\"graph\":\"{graph}\",\"b\":3}}");
+    server.handle_line(&line, &sink);
+    assert!(wait_lines(&buf, 1)[0].contains("\"ok\":true"));
+    let samples = domatic_telemetry::prometheus::parse(&server.metrics_text()).unwrap();
+    assert!(
+        samples
+            .iter()
+            .any(|s| s.name == "server_request_latency_us_count" && s.label("op") == Some("bounds")),
+        "bounds requests are still timed end to end"
+    );
+    let solve_series: Vec<_> = samples
+        .iter()
+        .filter(|s| {
+            s.name.starts_with("server_solve_latency_us") && s.label("graph") == Some(graph)
+        })
+        .collect();
+    assert!(
+        solve_series.is_empty(),
+        "bounds runs no solver: {solve_series:?}"
+    );
+}
+
+#[test]
 fn profile_op_reports_the_trace_ring() {
     let server = make_server(ServerConfig {
         capacity: 8,
@@ -765,18 +731,26 @@ fn profile_op_reports_the_trace_ring() {
         );
         server.handle_line(&line, &sink);
     }
-    wait_lines(&buf, 3);
+    server.handle_line(r#"{"id":3,"op":"bounds","graph":"ring","b":3}"#, &sink);
+    wait_lines(&buf, 4);
     server.handle_line(r#"{"id":99,"op":"profile"}"#, &sink);
-    let responses = wait_lines(&buf, 4);
+    let responses = wait_lines(&buf, 5);
     let profile_line = responses.iter().find(|l| id_of(l) == 99).unwrap();
     let v = json::parse(&result_of(profile_line)).unwrap();
     let ring = match v.get("ring") {
         Some(json::Json::Arr(items)) => items,
         other => panic!("ring must be an array: {other:?}"),
     };
-    assert_eq!(ring.len(), 3, "one completed record per request");
+    assert_eq!(ring.len(), 4, "one completed record per request");
     for rec in ring {
-        assert_eq!(rec.get("op").and_then(|o| o.as_str()), Some("solve"));
+        // `bounds` runs no solver, so its record names none.
+        let op = rec.get("op").and_then(|o| o.as_str()).unwrap();
+        let alg = rec.get("alg").and_then(|a| a.as_str()).unwrap();
+        match op {
+            "solve" => assert_eq!(alg, "greedy"),
+            "bounds" => assert_eq!(alg, ""),
+            other => panic!("unexpected op {other}"),
+        }
         assert_eq!(rec.get("outcome").and_then(|o| o.as_str()), Some("ok"));
         let total = rec.get("total_us").and_then(|t| t.as_int()).unwrap();
         let queue = rec.get("queue_us").and_then(|t| t.as_int()).unwrap();

@@ -1055,7 +1055,13 @@ fn cmd_profile(rest: &[String]) {
                     .to_string()
             };
             let us = |k: &str| rec.get(k).and_then(|v| v.as_int()).unwrap_or(0);
-            let stack = format!("serve;{};{};{}", field("op"), field("graph"), field("alg"));
+            let mut stack = format!("serve;{};{}", field("op"), field("graph"));
+            // `bounds` and `mutate` records carry no solver: no `alg` frame.
+            let alg = field("alg");
+            if !alg.is_empty() {
+                stack.push(';');
+                stack.push_str(&alg);
+            }
             for (phase, dur_us) in [
                 ("queue_wait", us("queue_us")),
                 ("solve", us("solve_us")),

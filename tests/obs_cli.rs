@@ -138,6 +138,18 @@ fn top_and_profile_run_against_a_live_server() {
         }),
         "expected solve frames in:\n{stacks}"
     );
+    // `bounds` runs no solver: its frames skip the `alg` level instead
+    // of naming the parser's default solver or leaving an empty frame.
+    assert!(
+        stacks
+            .lines()
+            .any(|l| l.starts_with("serve;bounds;main;queue_wait ")),
+        "expected bounds frames in:\n{stacks}"
+    );
+    assert!(
+        !stacks.contains(";;") && !stacks.contains("serve;bounds;main;uniform"),
+        "bounds frames must not carry an alg:\n{stacks}"
+    );
 
     // The HTTP scrape endpoint serves parseable exposition with the
     // required series.
