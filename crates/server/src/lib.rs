@@ -17,10 +17,11 @@
 //!   beyond that are rejected *at admission* with a typed `overloaded`
 //!   error instead of growing an unbounded queue (overload can never
 //!   OOM the server).
-//! - **Micro-batching** — requests that canonicalize to the same solve
-//!   key (graph hash + op + solver + config) within `batch_window`
-//!   coalesce into one underlying solve whose result fans out to every
-//!   waiter.
+//! - **Single-flight batching** — a request that canonicalizes to the
+//!   same solve key (graph hash + op + solver + config) as a solve in
+//!   flight joins that solve, whose result fans out to every waiter. A
+//!   key stays in flight until its result is cached, so each key is
+//!   solved once.
 //! - **Content-addressed caching** — completed results enter a
 //!   byte-bounded LRU keyed by the same canonical key; a hit is served
 //!   from memory, byte-identical to the solve that filled it.

@@ -1,4 +1,5 @@
-//! The serve runtime: admission control, micro-batching, cache, fan-out.
+//! The serve runtime: admission control, single-flight batching, cache,
+//! fan-out.
 //!
 //! ## Life of a request
 //!
@@ -7,32 +8,35 @@
 //!    immediately with a typed error and never occupy the pool.
 //! 2. The request is canonicalized to a solve key. A cache hit is
 //!    answered on the spot with the stored bytes.
-//! 3. On a miss, the pending-batch table is consulted *under one lock*:
-//!    if a batch for the key is already open, the request joins it as a
+//! 3. On a miss, the pending table is consulted *under one lock*: if the
+//!    key is already being solved, the request joins that solve as a
 //!    waiter (no new work); otherwise admission control runs — at or
 //!    above `capacity` in-flight jobs the request is rejected with a
-//!    typed `overloaded` error — and a new batch is opened and its job
-//!    `rayon::spawn`ed onto the vendored pool.
-//! 4. The job sleeps out the remainder of the batching window (joiners
-//!    accumulate meanwhile), closes the batch, re-checks the cache, and
-//!    solves once. The rendered payload enters the LRU cache and fans
-//!    out to every waiter; waiters whose deadline passed get a typed
-//!    `deadline` error instead, and if *all* waiters expired the solve
-//!    is skipped entirely.
+//!    typed `overloaded` error — and the key is entered as pending and
+//!    its job `rayon::spawn`ed onto the vendored pool at once.
+//! 4. The job re-checks the cache and solves once. The key stays pending
+//!    for the whole solve, so identical requests that arrive meanwhile
+//!    join it. The rendered payload enters the LRU cache; only then is
+//!    the key removed from the pending table and the payload fanned out
+//!    to every waiter. Waiters whose deadline passed get a typed
+//!    `deadline` error instead, and if *all* waiters have expired when
+//!    the job starts, the solve is skipped entirely.
 //!
 //! Every solver is deterministic at a fixed seed and payloads are
 //! rendered with a fixed field order, so the bytes a waiter receives do
 //! not depend on thread count, batching, or cache state.
 //!
-//! A closed batch and its not-yet-cached solve leave a small window in
-//! which an identical request opens a second batch and re-solves; the
-//! result is byte-identical and the cache insert idempotent, so the only
-//! cost is one redundant solve — accepted to keep the pending table a
-//! plain map under a plain lock.
+//! **Single flight.** From a key's first miss until its cache entry is
+//! evicted or retired, the key is pending or cached, because a job
+//! inserts its payload before it leaves the pending table. So each key
+//! is solved once. A request that misses the cache just before that
+//! insert and takes the pending lock just after the removal opens a new
+//! batch, whose job finds the payload on its cache re-check. Errors, and
+//! payloads the cache refuses, are not kept, so their keys solve again.
 
 use crate::cache::SolveCache;
 use crate::protocol::{self, Op, Request};
-use crate::trace::{ReqTrace, Tracer};
+use crate::trace::{ReqTrace, SolveSpan, Tracer};
 use domatic_core::error::DomaticError;
 use domatic_core::hash::{config_hash, versioned_graph_hash, CanonicalHasher};
 use domatic_core::incremental::GraphDelta;
@@ -74,9 +78,6 @@ pub struct ServerConfig {
     /// Maximum solve jobs in flight; admission beyond this returns a
     /// typed `overloaded` error (bounded-queue backpressure).
     pub capacity: usize,
-    /// How long a freshly opened batch stays open for identical
-    /// requests to coalesce into it. Zero disables batching.
-    pub batch_window: Duration,
     /// Byte budget of the LRU solve cache.
     pub cache_bytes: usize,
     /// Requests whose total latency reaches this many milliseconds get
@@ -103,7 +104,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             capacity: 64,
-            batch_window: Duration::from_millis(2),
             cache_bytes: 16 << 20,
             slow_ms: None,
             trace_ring: 256,
@@ -151,7 +151,7 @@ pub struct ServerStatsSnapshot {
     pub cache_misses: u64,
     /// Entries evicted to hold the byte budget.
     pub cache_evictions: u64,
-    /// Requests that coalesced into an already-open batch.
+    /// Requests that joined an identical in-flight solve.
     pub batch_joined: u64,
     /// Requests rejected by admission control (both shed tiers).
     pub overloads: u64,
@@ -226,12 +226,6 @@ impl Waiter {
     }
 }
 
-/// One open coalescing batch: the waiters accumulated for a solve key.
-struct Batch {
-    created: Instant,
-    waiters: Mutex<Vec<Waiter>>,
-}
-
 /// Everything a spawned job needs to compute its payload. The graph
 /// fields are a snapshot taken at submit time: a mutation landing while
 /// the job is in flight does not change what this job solves (its
@@ -252,7 +246,8 @@ pub struct Server {
     cfg: ServerConfig,
     graphs: RwLock<HashMap<String, NamedGraph>>,
     cache: Mutex<SolveCache>,
-    pending: Mutex<HashMap<u64, Arc<Batch>>>,
+    /// Keys being solved, each with the requests waiting for its result.
+    pending: Mutex<HashMap<u64, Vec<Waiter>>>,
     inflight: Mutex<usize>,
     idle: Condvar,
     accepting: AtomicBool,
@@ -462,7 +457,7 @@ impl Server {
                     Ok(payload) => {
                         self.tracer.event(&rt, "mutation_applied");
                         self.respond(sink, &protocol::ok_line(req.id, &payload));
-                        self.tracer.finish(&rt, "ok", 0, 0);
+                        self.tracer.finish(&rt, "ok", SolveSpan::default());
                     }
                     Err(e) => {
                         self.tracer.shed(&rt, "mutation_rejected");
@@ -646,7 +641,7 @@ impl Server {
             bump(&self.counters.cache_hits, "server.cache.hit", 1);
             self.tracer.event(&rt, "cache_hit");
             self.respond(sink, &protocol::ok_line(spec.req.id, &payload));
-            self.tracer.finish(&rt, "ok", 0, 0);
+            self.tracer.finish(&rt, "ok", SolveSpan::default());
             return;
         }
 
@@ -664,7 +659,7 @@ impl Server {
         // Join-or-open must be atomic per key, so the whole decision sits
         // under the pending lock (lock order: pending, then inflight).
         let mut pending = lock(&self.pending);
-        if let Some(batch) = pending.get(&spec.key) {
+        if let Some(waiters) = pending.get_mut(&spec.key) {
             // Second shed tier: joins are normally free (no new work), but
             // each queued waiter holds a sink and response slot, so under
             // severe fan-in even joins are refused. Cache hits never reach
@@ -687,7 +682,7 @@ impl Server {
             bump(&self.counters.batch_joined, "server.batch.joined", 1);
             self.tracer.event(&rt, "batch_joined");
             self.queued_waiters.fetch_add(1, Ordering::Relaxed);
-            lock(&batch.waiters).push(waiter);
+            waiters.push(waiter);
             return;
         }
         if !self.accepting.load(Ordering::Acquire) {
@@ -722,81 +717,71 @@ impl Server {
         // admitted cacheable traffic.
         bump(&self.counters.cache_misses, "server.cache.miss", 1);
         self.tracer.event(&rt, "cache_miss");
-        let batch = Arc::new(Batch {
-            created: Instant::now(),
-            waiters: Mutex::new(vec![waiter]),
-        });
         self.queued_waiters.fetch_add(1, Ordering::Relaxed);
-        pending.insert(spec.key, Arc::clone(&batch));
+        pending.insert(spec.key, vec![waiter]);
         drop(pending);
 
         let server = Arc::clone(self);
         rayon::spawn(move || {
-            server.run_job(spec, batch);
+            server.run_job(spec, rt);
         });
     }
 
-    /// The spawned half: wait out the batching window, close the batch,
-    /// solve once, cache, fan out. Runs on a vendored-rayon pool worker;
-    /// the solver's own parallel iterators nest inside it.
-    fn run_job(self: &Arc<Self>, spec: JobSpec, batch: Arc<Batch>) {
-        if let Some(rest) = self.cfg.batch_window.checked_sub(batch.created.elapsed()) {
-            if !rest.is_zero() {
-                std::thread::sleep(rest);
-            }
-        }
-        // Close the batch: joiners either got in before this removal or
-        // will open a fresh batch (and hit the cache once we fill it).
-        let waiters: Vec<Waiter> = {
+    /// The spawned half: solve once, cache, then close the batch and fan
+    /// out. The key stays pending until its payload is cached, so
+    /// identical requests that arrive mid-solve join this job instead of
+    /// starting another. Runs on a vendored-rayon pool worker; the
+    /// solver's own parallel iterators nest inside it. `leader` is the
+    /// trace of the request that opened the batch.
+    fn run_job(self: &Arc<Self>, spec: JobSpec, leader: Arc<ReqTrace>) {
+        // Nobody is left to receive the result: close the batch and skip
+        // the solve. Deciding and closing under one lock hold keeps a
+        // joiner from slipping in between, so every waiter `finish` sees
+        // here has expired.
+        {
             let mut pending = lock(&self.pending);
-            pending.remove(&spec.key);
-            std::mem::take(&mut *lock(&batch.waiters))
-        };
-        self.queued_waiters
-            .fetch_sub(waiters.len() as u64, Ordering::Relaxed);
-
-        // A prior batch may have filled the key between this leader's
-        // admission miss and now. The solve/render phase timing belongs
-        // to the batch: it is recorded against the leader's trace events
-        // and stamped into every waiter's completion record.
-        let leader = waiters.first().map(|w| Arc::clone(&w.trace));
-        let cached = lock(&self.cache).get(spec.key);
-        let mut solve_us = 0u64;
-        let mut render_us = 0u64;
-        let outcome: Result<Arc<str>, DomaticError> = match cached {
-            Some(payload) => {
-                if let Some(rt) = &leader {
-                    self.tracer.event(rt, "cache_hit");
-                }
-                Ok(payload)
-            }
-            None if waiters.iter().all(Waiter::expired) => {
-                // Nobody is left to receive the result: skip the solve and
-                // keep serving. (There is always at least the opener.)
-                self.finish(&waiters, None, 0, 0);
+            if pending
+                .get(&spec.key)
+                .is_some_and(|waiters| waiters.iter().all(Waiter::expired))
+            {
+                let waiters = pending.remove(&spec.key).unwrap_or_default();
+                drop(pending);
+                self.finish(&waiters, None, SolveSpan::default());
                 return;
             }
+        }
+
+        // A prior batch may have filled the key between this leader's
+        // admission miss and its opening this batch. The solve's phase
+        // boundaries go on the leader's trace events and are clipped to
+        // each waiter's own lifetime in its completion record.
+        let cached = lock(&self.cache).get(spec.key);
+        let mut span = SolveSpan::default();
+        let outcome: Result<Arc<str>, DomaticError> = match cached {
+            Some(payload) => {
+                self.tracer.event(&leader, "cache_hit");
+                Ok(payload)
+            }
             None => {
-                if let Some(rt) = &leader {
-                    self.tracer.event(rt, "solve_start");
-                }
+                let solve_start = self.tracer.now_us();
+                self.tracer.event(&leader, "solve_start");
                 let computed = self.compute(&spec);
-                if let Some(rt) = &leader {
-                    self.tracer.event(rt, "solve_end");
-                }
-                computed.map(|(payload, s_us, r_us)| {
-                    solve_us = s_us;
-                    render_us = r_us;
+                let render_end = self.tracer.now_us();
+                self.tracer.event(&leader, "solve_end");
+                computed.map(|(payload, rendering)| {
+                    span = SolveSpan {
+                        solve_start,
+                        render_start: self.tracer.us_at(rendering),
+                        render_end,
+                    };
                     if matches!(spec.req.op, Op::Solve | Op::Adapt) {
                         domatic_telemetry::global().observe_labeled(
                             "server.solve_latency_us",
                             &[("alg", &spec.req.alg), ("graph", &spec.req.graph)],
-                            s_us,
+                            span.render_start.saturating_sub(solve_start),
                         );
                     }
-                    if let Some(rt) = &leader {
-                        self.tracer.event(rt, "rendered");
-                    }
+                    self.tracer.event(&leader, "rendered");
                     let payload: Arc<str> = payload.into();
                     bump(&self.counters.solves, "server.solves", 1);
                     let (evicted, bytes) = {
@@ -816,21 +801,26 @@ impl Server {
                 })
             }
         };
-        self.finish(&waiters, Some(outcome), solve_us, render_us);
+        // Close the batch only now that the payload is cached: a request
+        // that finds no pending key from here on is answered by the cache.
+        let waiters = lock(&self.pending).remove(&spec.key).unwrap_or_default();
+        self.finish(&waiters, Some(outcome), span);
     }
 
-    /// Fans a job outcome out to its waiters (deadline-checked per
-    /// waiter) and releases the in-flight slot. `None` means the solve
-    /// was skipped because every waiter had already expired.
-    /// `solve_us`/`render_us` are the batch's phase durations, stamped
-    /// into each waiter's trace completion.
+    /// Fans a job outcome out to the waiters of a closed batch
+    /// (deadline-checked per waiter) and releases the in-flight slot.
+    /// `None` means the solve was skipped because every waiter had
+    /// already expired. `span` bounds the solve that served them; each
+    /// waiter's trace completion is charged only the part of it that
+    /// overlaps the waiter's own lifetime.
     fn finish(
         &self,
         waiters: &[Waiter],
         outcome: Option<Result<Arc<str>, DomaticError>>,
-        solve_us: u64,
-        render_us: u64,
+        span: SolveSpan,
     ) {
+        self.queued_waiters
+            .fetch_sub(waiters.len() as u64, Ordering::Relaxed);
         for w in waiters {
             if w.expired() {
                 bump(
@@ -846,8 +836,7 @@ impl Server {
                         deadline_ms: w.deadline_ms,
                     },
                 );
-                self.tracer
-                    .finish(&w.trace, "deadline", solve_us, render_us);
+                self.tracer.finish(&w.trace, "deadline", span);
                 continue;
             }
             match outcome
@@ -856,11 +845,11 @@ impl Server {
             {
                 Ok(payload) => {
                     self.respond(&w.sink, &protocol::ok_line(w.id, payload));
-                    self.tracer.finish(&w.trace, "ok", solve_us, render_us);
+                    self.tracer.finish(&w.trace, "ok", span);
                 }
                 Err(e) => {
                     self.respond_err(&w.sink, w.id, e);
-                    self.tracer.finish(&w.trace, "error", solve_us, render_us);
+                    self.tracer.finish(&w.trace, "error", span);
                 }
             }
         }
@@ -872,11 +861,11 @@ impl Server {
         }
     }
 
-    /// Computes a request's payload (with solve/render split timing, in
-    /// µs). Panics inside solver code are caught and surfaced as a typed
+    /// Computes a request's payload and the instant its rendering began.
+    /// Panics inside solver code are caught and surfaced as a typed
     /// error so one poisoned instance cannot take the worker (or the
     /// server) down.
-    fn compute(&self, spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
+    fn compute(&self, spec: &JobSpec) -> Result<(String, Instant), DomaticError> {
         catch_unwind(AssertUnwindSafe(|| compute_payload(spec))).unwrap_or_else(|_| {
             Err(DomaticError::BadRequest {
                 message: "solver panicked on this instance".into(),
@@ -1038,27 +1027,22 @@ fn overlay_batteries(n: usize, b: u64, overrides: &BTreeMap<u32, u64>) -> Batter
 }
 
 /// Renders a payload for one solve-shaped request, returning the payload
-/// plus solve and render phase durations in µs. Field order is fixed
-/// (alphabetical) and every formatting choice is deterministic, so equal
-/// requests render byte-identical payloads on any thread count — the
-/// timing is observational only and never feeds the payload.
-fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
+/// plus the instant rendering began (the solve/render boundary). Field
+/// order is fixed (alphabetical) and every formatting choice is
+/// deterministic, so equal requests render byte-identical payloads on
+/// any thread count — the timing is observational only and never feeds
+/// the payload.
+fn compute_payload(spec: &JobSpec) -> Result<(String, Instant), DomaticError> {
     let g = &*spec.graph;
     let req = &spec.req;
     let batteries = overlay_batteries(g.n(), req.b, &spec.overrides);
-    let t_start = Instant::now();
-    let timed = |t_solve: Instant, payload: String| {
-        let render_us = t_solve.elapsed().as_micros() as u64;
-        let solve_us = (t_start.elapsed().as_micros() as u64).saturating_sub(render_us);
-        (payload, solve_us, render_us)
-    };
     match req.op {
         Op::Bounds => {
             let general = domatic_core::bounds::general_upper_bound(g, &batteries);
             let uniform = domatic_core::bounds::uniform_upper_bound(g, req.b);
             let ft = domatic_core::bounds::fault_tolerant_upper_bound(g, req.b, req.cfg.k.max(1));
-            let t_solve = Instant::now();
-            Ok(timed(t_solve, format!(
+            let rendering = Instant::now();
+            Ok((format!(
                 "{{\"b\":{},\"ft\":{ft},\"general\":{general},\"graph\":{},\"graph_hash\":\"{:016x}\",\"k\":{},\"m\":{},\"n\":{},\"uniform\":{uniform}}}",
                 req.b,
                 json_str(&req.graph),
@@ -1066,14 +1050,14 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
                 req.cfg.k.max(1),
                 g.m(),
                 g.n(),
-            )))
+            ), rendering))
         }
         Op::Solve => {
             let solver = make_solver(&req.alg)?;
             let schedule = solver.schedule(g, &batteries, &req.cfg)?;
             let tolerance = solver.tolerance(&req.cfg);
             let bound = solver.upper_bound(g, &batteries, &req.cfg);
-            let t_solve = Instant::now();
+            let rendering = Instant::now();
             let mut sched_json = String::from("[");
             for (i, entry) in schedule.entries().iter().enumerate() {
                 if i > 0 {
@@ -1089,7 +1073,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
                 sched_json.push_str("]]");
             }
             sched_json.push(']');
-            Ok(timed(t_solve, format!(
+            Ok((format!(
                 "{{\"alg\":{},\"b\":{},\"bound\":{bound},\"graph\":{},\"graph_hash\":\"{:016x}\",\"k\":{},\"lifetime\":{},\"n\":{},\"schedule\":{sched_json},\"seed\":{},\"steps\":{},\"tolerance\":{tolerance},\"trials\":{}}}",
                 json_str(&req.alg),
                 req.b,
@@ -1101,7 +1085,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
                 req.cfg.seed,
                 schedule.num_steps(),
                 req.cfg.trials,
-            )))
+            ), rendering))
         }
         Op::Adapt => {
             let solver = make_solver(&req.alg)?;
@@ -1117,8 +1101,8 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
             };
             let cmp =
                 compare_static_adaptive(g, &batteries, solver.as_ref(), &req.cfg, &acfg, &plan)?;
-            let t_solve = Instant::now();
-            Ok(timed(t_solve, format!(
+            let rendering = Instant::now();
+            Ok((format!(
                 "{{\"adaptive_lifetime\":{},\"alg\":{},\"b\":{},\"deaths\":{},\"failures\":{},\"graph\":{},\"p\":{:?},\"planned\":{},\"replans\":{},\"seed\":{},\"slots\":{},\"static_lifetime\":{}}}",
                 cmp.adaptive.lifetime,
                 json_str(&req.alg),
@@ -1132,7 +1116,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, u64, u64), DomaticError> {
                 req.cfg.seed,
                 req.slots,
                 cmp.static_run.lifetime,
-            )))
+            ), rendering))
         }
         Op::Mutate | Op::Ping | Op::Stats | Op::Metrics | Op::Profile | Op::Shutdown => {
             unreachable!("answered inline")

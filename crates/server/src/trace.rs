@@ -9,7 +9,10 @@
 //! and finally `written` (which carries the phase durations:
 //! queue-wait, solve, render, total). Timestamps are microseconds on
 //! the tracer's own monotonic clock, so events within one trace are
-//! non-decreasing by construction.
+//! non-decreasing by construction. A request is charged only the part
+//! of its solve that overlaps its own lifetime, so a request that joins
+//! a solve halfway is charged half of it, and every record satisfies
+//! `queue_us + solve_us + render_us == total_us`.
 //!
 //! **Invariant — tracing never changes response bytes.** Trace ids and
 //! events exist only in access-log lines and the in-memory ring; they
@@ -56,12 +59,14 @@ pub struct TraceRecord {
     pub t0_us: u64,
     /// Received → written, µs.
     pub total_us: u64,
-    /// Time not accounted to solve or render (admission, batch window,
-    /// fan-out), µs.
+    /// Time not accounted to solve or render (admission, pool
+    /// queueing, fan-out), µs.
     pub queue_us: u64,
-    /// Solver time of the batch that served this request, µs.
+    /// Solver time of the batch that served this request, within this
+    /// request's lifetime, µs.
     pub solve_us: u64,
-    /// Payload rendering time of that batch, µs.
+    /// Payload rendering time of that batch, within this request's
+    /// lifetime, µs.
     pub render_us: u64,
 }
 
@@ -84,6 +89,19 @@ impl TraceRecord {
             self.trace,
         )
     }
+}
+
+/// The phase boundaries of one solve, in µs on the tracer clock: the
+/// solver runs from `solve_start` to `render_start`, rendering from
+/// there to `render_end`. The default (all zero) is "no solve ran".
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SolveSpan {
+    /// The solver started.
+    pub solve_start: u64,
+    /// The solver returned and rendering began.
+    pub render_start: u64,
+    /// The payload was rendered.
+    pub render_end: u64,
 }
 
 /// Per-request trace state, shared between the transport thread and the
@@ -136,7 +154,12 @@ impl Tracer {
 
     /// Microseconds since the tracer (server) started.
     pub fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+        self.us_at(Instant::now())
+    }
+
+    /// `t` on the tracer clock, in µs since the tracer started.
+    pub(crate) fn us_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.start).as_micros() as u64
     }
 
     fn log_line(&self, line: &str) {
@@ -217,17 +240,23 @@ impl Tracer {
                 rt.trace,
             ));
         }
-        self.finish(rt, "shed", 0, 0);
+        self.finish(rt, "shed", SolveSpan::default());
     }
 
     /// Completes a trace: emits the `written` event with phase
     /// durations, pushes a [`TraceRecord`] into the ring, observes the
     /// per-op latency histogram, and dumps the full lifecycle if the
-    /// request was slower than the slow threshold.
-    pub fn finish(&self, rt: &ReqTrace, outcome: &'static str, solve_us: u64, render_us: u64) {
+    /// request was slower than the slow threshold. `span` is the solve
+    /// that served the request; only its overlap with the request's own
+    /// lifetime counts as this request's solve and render time.
+    pub fn finish(&self, rt: &ReqTrace, outcome: &'static str, span: SolveSpan) {
         let t_us = self.now_us();
         let total_us = t_us.saturating_sub(rt.t0_us);
-        let queue_us = total_us.saturating_sub(solve_us).saturating_sub(render_us);
+        let within = |from: u64, to: u64| to.min(t_us).saturating_sub(from.max(rt.t0_us));
+        let solve_us = within(span.solve_start, span.render_start);
+        let render_us = within(span.render_start, span.render_end);
+        // Two adjacent intervals clipped to [t0, t] cover at most t - t0.
+        let queue_us = total_us - solve_us - render_us;
         lock(&rt.events).push(("written", t_us));
         if lock(&self.log).is_some() {
             self.log_line(&format!(
@@ -317,6 +346,13 @@ mod tests {
         }
     }
 
+    /// Busy-waits until the tracer clock reads at least `t_us`.
+    fn spin_until(tracer: &Tracer, t_us: u64) {
+        while tracer.now_us() < t_us {
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn events_are_logged_as_json_lines_with_monotone_timestamps() {
         let tracer = Tracer::new(8, None);
@@ -325,7 +361,14 @@ mod tests {
         let rt = tracer.begin(7, "solve", "ring", "greedy");
         tracer.event(&rt, "admitted");
         tracer.event(&rt, "cache_miss");
-        tracer.finish(&rt, "ok", 120, 30);
+        // A 120 µs solve and a 30 µs render, both inside the request.
+        let span = SolveSpan {
+            solve_start: rt.t0_us,
+            render_start: rt.t0_us + 120,
+            render_end: rt.t0_us + 150,
+        };
+        spin_until(&tracer, span.render_end);
+        tracer.finish(&rt, "ok", span);
         let bytes = buf.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -344,11 +387,39 @@ mod tests {
     }
 
     #[test]
+    fn a_joiner_is_charged_only_the_solve_it_waited_for() {
+        let tracer = Tracer::new(4, None);
+        let leader = tracer.begin(1, "solve", "g", "greedy");
+        spin_until(&tracer, leader.t0_us + 100);
+        let joiner = tracer.begin(2, "solve", "g", "greedy");
+        // The solve began with the leader and ends 50 µs after the
+        // joiner arrived; rendering takes 10 µs more.
+        let span = SolveSpan {
+            solve_start: leader.t0_us,
+            render_start: joiner.t0_us + 50,
+            render_end: joiner.t0_us + 60,
+        };
+        spin_until(&tracer, span.render_end);
+        tracer.finish(&leader, "ok", span);
+        tracer.finish(&joiner, "ok", span);
+        let ring = tracer.ring_snapshot();
+        assert_eq!(ring[0].solve_us, span.render_start - leader.t0_us);
+        assert_eq!((ring[1].solve_us, ring[1].render_us), (50, 10));
+        for rec in &ring {
+            assert_eq!(
+                rec.queue_us + rec.solve_us + rec.render_us,
+                rec.total_us,
+                "{rec:?}"
+            );
+        }
+    }
+
+    #[test]
     fn ring_is_bounded_and_oldest_first() {
         let tracer = Tracer::new(2, None);
         for i in 0..5u64 {
             let rt = tracer.begin(i, "bounds", "g", "");
-            tracer.finish(&rt, "ok", 0, 0);
+            tracer.finish(&rt, "ok", SolveSpan::default());
         }
         let ring = tracer.ring_snapshot();
         assert_eq!(ring.len(), 2);
@@ -373,7 +444,7 @@ mod tests {
         let buf = Shared::default();
         tracer.set_log(Box::new(buf.clone()));
         let rt = tracer.begin(9, "adapt", "ring", "ft");
-        tracer.finish(&rt, "ok", 5, 1);
+        tracer.finish(&rt, "ok", SolveSpan::default());
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let slow: Vec<&str> = text
             .lines()

@@ -18,6 +18,21 @@ pub fn ring_graph(n: u32) -> Graph {
     Graph::from_edges(n as usize, &edges)
 }
 
+/// Registers `dense`, a G(n, p) graph (400 nodes, average degree 80) on
+/// which one greedy solve runs long enough for a test to send more
+/// lines while it holds its batch open: about 0.4 s in a debug build.
+pub fn add_slow_graph(server: &Server) {
+    server.add_graph(
+        "dense",
+        domatic_graph::generators::gnp::gnp_with_avg_degree(400, 80.0, 1),
+    );
+}
+
+/// A greedy solve of the `dense` graph from [`add_slow_graph`].
+pub fn slow_solve(id: u64) -> String {
+    format!("{{\"id\":{id},\"op\":\"solve\",\"graph\":\"dense\",\"alg\":\"greedy\",\"b\":3}}")
+}
+
 /// A server with `ring` (24 nodes) and `ring2` (30 nodes) registered.
 pub fn make_server(cfg: ServerConfig) -> Arc<Server> {
     let server = Server::new(cfg);
@@ -57,6 +72,18 @@ pub fn wait_lines(buf: &Arc<Mutex<Vec<u8>>>, n: usize) -> Vec<String> {
             have.len()
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Polls until `cond` holds (jobs are asynchronous).
+pub fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 

@@ -62,7 +62,6 @@ fn pipelined_workload() -> Vec<String> {
 fn pipelined_requests_answer_in_receipt_order_byte_identically() {
     let cfg = ServerConfig {
         capacity: 16,
-        batch_window: Duration::from_millis(5),
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()
@@ -118,10 +117,10 @@ fn pipelined_requests_answer_in_receipt_order_byte_identically() {
 fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
     let server = make_server(ServerConfig {
         capacity: 1,
-        batch_window: Duration::from_millis(400),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    add_slow_graph(&server);
     let (buf, sink) = sink();
     let warm = r#"{"id":1,"op":"bounds","graph":"ring","b":3}"#;
     server.handle_line(warm, &sink);
@@ -129,10 +128,7 @@ fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
     assert!(warmed[0].contains("\"ok\":true"), "{warmed:?}");
 
     // Saturate the single slot with a slow batch (different key).
-    server.handle_line(
-        r#"{"id":2,"op":"solve","graph":"ring","alg":"greedy","b":3}"#,
-        &sink,
-    );
+    server.handle_line(&slow_solve(2), &sink);
     // A fresh miss (third key) is shed at tier "miss"...
     server.handle_line(r#"{"id":3,"op":"bounds","graph":"ring2","b":2}"#, &sink);
     let responses = wait_lines(&buf, 2);
@@ -168,17 +164,18 @@ fn cache_hits_serve_while_misses_shed_at_saturated_capacity() {
 fn severe_waiter_pressure_sheds_even_batch_joins() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(300),
         cache_bytes: 1 << 20,
         shed_join_waiters: 1,
         ..ServerConfig::default()
     });
+    add_slow_graph(&server);
     let (buf, sink) = sink();
-    let line = r#"{"id":1,"op":"solve","graph":"ring","alg":"greedy","b":3}"#;
-    // The leader opens a batch (1 queued waiter = the threshold)...
-    server.handle_line(line, &sink);
+    let line = slow_solve(1);
+    // The leader opens a batch (1 queued waiter = the threshold) and
+    // starts its slow solve...
+    server.handle_line(&line, &sink);
     // ...so the identical request can no longer even join.
-    server.handle_line(line, &sink);
+    server.handle_line(&line, &sink);
     let responses = wait_lines(&buf, 1);
     let v = json::parse(&responses[0]).unwrap();
     let error = v.get("error").expect("join must be shed");
@@ -198,7 +195,6 @@ fn severe_waiter_pressure_sheds_even_batch_joins() {
 fn shutdown_closes_idle_connections_and_joins_all_transport_threads() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(2),
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()
@@ -258,7 +254,6 @@ fn responses_are_byte_identical_across_shard_counts() {
     let run = |shards: usize| -> Vec<String> {
         let server = make_server(ServerConfig {
             capacity: 16,
-            batch_window: Duration::from_millis(2),
             cache_bytes: 1 << 20,
             shards,
             ..ServerConfig::default()
@@ -306,7 +301,6 @@ fn responses_are_byte_identical_across_shard_counts() {
 fn metrics_scrape_reports_connection_gauge_and_shard_queue_depth() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(2),
         cache_bytes: 1 << 20,
         shards: 2,
         ..ServerConfig::default()

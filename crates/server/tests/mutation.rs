@@ -17,7 +17,6 @@ use domatic_telemetry::json;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Edge list of a graph as sorted (min, max) pairs — for building
 /// expected mutated topologies by hand.
@@ -37,7 +36,6 @@ fn edge_list(g: &Graph) -> Vec<(u32, u32)> {
 fn server_with(graphs: &[(&str, Graph)]) -> Arc<Server> {
     let server = Server::new(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -202,7 +200,6 @@ fn post_mutation_solves_equal_fresh_registrations_for_every_op() {
         // a cold cache.
         let b = Server::new(ServerConfig {
             capacity: 8,
-            batch_window: Duration::ZERO,
             cache_bytes: 1 << 20,
             ..ServerConfig::default()
         });

@@ -3,7 +3,8 @@
 //!
 //! Most tests drive `handle_line` directly with an in-memory sink — the
 //! transport loops are thin wrappers around it — and one test runs the
-//! real TCP path end to end.
+//! real TCP path end to end. Tests that need a batch held open send a
+//! solve that is slow on its own (`slow_solve`).
 
 mod common;
 
@@ -12,23 +13,20 @@ use domatic_server::{Server, ServerConfig};
 use domatic_telemetry::json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex};
 
 #[test]
 fn batched_duplicates_run_exactly_one_solve_and_fan_out_identically() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(300),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    add_slow_graph(&server);
     let (buf, sink) = sink();
+    // The three duplicates arrive while the first request's solve runs.
     for id in 1..=4u64 {
-        let line = format!(
-            "{{\"id\":{id},\"op\":\"solve\",\"graph\":\"ring\",\"alg\":\"greedy\",\"b\":3}}"
-        );
-        assert!(!server.handle_line(&line, &sink));
+        assert!(!server.handle_line(&slow_solve(id), &sink));
     }
     let responses = wait_lines(&buf, 4);
     let mut ids: Vec<u64> = responses.iter().map(|l| id_of(l)).collect();
@@ -45,10 +43,117 @@ fn batched_duplicates_run_exactly_one_solve_and_fan_out_identically() {
 }
 
 #[test]
+fn a_duplicate_arriving_mid_solve_joins_it_instead_of_solving_again() {
+    let server = make_server(ServerConfig {
+        capacity: 8,
+        cache_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    add_slow_graph(&server);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    server.set_access_log(Box::new(SharedLog(Arc::clone(&log))));
+    let (buf, sink) = sink();
+    server.handle_line(&slow_solve(1), &sink);
+    wait_until("the leader's solve_start", || {
+        String::from_utf8_lossy(&log.lock().unwrap()).contains(r#""event":"solve_start""#)
+    });
+    let before = server.stats();
+    assert_eq!(before.solves, 0, "the leader's solve is still running");
+    server.handle_line(&slow_solve(2), &sink);
+    let responses = wait_lines(&buf, 2);
+
+    let after = server.stats();
+    assert_eq!(after.solves, 1, "the duplicate must not solve again");
+    assert_eq!(
+        (after.batch_joined + after.cache_hits) - (before.batch_joined + before.cache_hits),
+        1,
+        "{after:?}"
+    );
+    let payload_of = |id: u64| result_of(responses.iter().find(|l| id_of(l) == id).unwrap());
+    assert_eq!(
+        payload_of(1),
+        payload_of(2),
+        "fan-out must be byte-identical"
+    );
+
+    // The joiner is charged only the part of the solve it waited for.
+    // Its ring record lands after its response, before the job releases
+    // its in-flight slot.
+    wait_until("the job to finish", || server.stats().inflight == 0);
+    server.handle_line(r#"{"id":99,"op":"profile"}"#, &sink);
+    let responses = wait_lines(&buf, 3);
+    let profile = json::parse(&result_of(
+        responses.iter().find(|l| id_of(l) == 99).unwrap(),
+    ))
+    .unwrap();
+    let Some(json::Json::Arr(ring)) = profile.get("ring") else {
+        panic!("ring must be an array: {profile:?}");
+    };
+    let field = |id: i128, name: &str| {
+        let rec = ring
+            .iter()
+            .find(|r| r.get("id").and_then(|i| i.as_int()) == Some(id))
+            .unwrap_or_else(|| panic!("no ring record for id {id}: {ring:?}"));
+        rec.get(name).and_then(|v| v.as_int()).unwrap()
+    };
+    assert_eq!(
+        field(2, "queue_us") + field(2, "solve_us") + field(2, "render_us"),
+        field(2, "total_us"),
+        "phases partition the joiner's total: {ring:?}"
+    );
+    assert!(
+        field(2, "solve_us") < field(1, "solve_us"),
+        "the joiner arrived after the solve began: {ring:?}"
+    );
+}
+
+#[test]
+fn concurrent_identical_requests_solve_each_key_once() {
+    const KEYS: u64 = 4;
+    const THREADS: u64 = 8;
+    let server = make_server(ServerConfig {
+        capacity: 64,
+        cache_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    let (buf, sink) = sink();
+    let barrier = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (server, sink, barrier) = (&server, &sink, &barrier);
+            s.spawn(move || {
+                for key in 0..KEYS {
+                    // Every thread sends this key's line at once.
+                    barrier.wait();
+                    let id = key * 100 + t;
+                    server.handle_line(
+                        &format!("{{\"id\":{id},\"op\":\"solve\",\"graph\":\"ring2\",\"alg\":\"greedy\",\"b\":3,\"seed\":{key}}}"),
+                        sink,
+                    );
+                }
+            });
+        }
+    });
+    let responses = wait_lines(&buf, (KEYS * THREADS) as usize);
+    assert_eq!(server.stats().solves, KEYS, "{:?}", server.stats());
+    for key in 0..KEYS {
+        let payloads: Vec<String> = responses
+            .iter()
+            .filter(|l| id_of(l) / 100 == key)
+            .map(|l| result_of(l))
+            .collect();
+        assert_eq!(payloads.len(), THREADS as usize);
+        assert!(
+            payloads.iter().all(|p| *p == payloads[0]),
+            "key {key} answered with different bytes"
+        );
+    }
+}
+
+#[test]
 fn cached_response_is_byte_identical_to_the_uncached_one() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -66,28 +171,29 @@ fn cached_response_is_byte_identical_to_the_uncached_one() {
 
 #[test]
 fn batched_and_unbatched_servers_render_the_same_bytes() {
-    // Same request through a batching server and through a cold
-    // zero-window server: the payload must not depend on either.
-    let req = r#"{"id":1,"op":"solve","graph":"ring","alg":"general","b":4,"seed":3}"#;
+    // Same request twice through one server, the second joining the
+    // first one's solve, and once through a cold server: the payload
+    // must not depend on either.
+    let req = slow_solve(1);
     let batching = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(100),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    add_slow_graph(&batching);
     let (buf_a, sink_a) = sink();
-    batching.handle_line(req, &sink_a);
-    batching.handle_line(req, &sink_a);
+    batching.handle_line(&req, &sink_a);
+    batching.handle_line(&req, &sink_a);
     let batched = wait_lines(&buf_a, 2);
 
     let cold = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    add_slow_graph(&cold);
     let (buf_b, sink_b) = sink();
-    cold.handle_line(req, &sink_b);
+    cold.handle_line(&req, &sink_b);
     let unbatched = wait_lines(&buf_b, 1);
 
     assert_eq!(batched[0], unbatched[0]);
@@ -100,7 +206,6 @@ fn batched_and_unbatched_servers_render_the_same_bytes() {
 fn expired_deadline_gets_a_typed_error_and_the_server_keeps_serving() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -127,14 +232,14 @@ fn expired_deadline_gets_a_typed_error_and_the_server_keeps_serving() {
 fn admission_beyond_capacity_is_a_typed_overloaded_error() {
     let server = make_server(ServerConfig {
         capacity: 1,
-        batch_window: Duration::from_millis(400),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    add_slow_graph(&server);
     let (buf, sink) = sink();
-    // First request occupies the single in-flight slot for the whole
-    // batching window.
-    server.handle_line(r#"{"id":1,"op":"solve","graph":"ring","b":3}"#, &sink);
+    // First request occupies the single in-flight slot for its whole
+    // slow solve.
+    server.handle_line(&slow_solve(1), &sink);
     // A different key cannot join the open batch and must be rejected
     // synchronously at admission.
     server.handle_line(
@@ -142,7 +247,7 @@ fn admission_beyond_capacity_is_a_typed_overloaded_error() {
         &sink,
     );
     // An identical key coalesces instead of being rejected.
-    server.handle_line(r#"{"id":3,"op":"solve","graph":"ring","b":3}"#, &sink);
+    server.handle_line(&slow_solve(3), &sink);
 
     let responses = wait_lines(&buf, 3);
     let overloaded: Vec<&String> = responses
@@ -160,7 +265,6 @@ fn admission_beyond_capacity_is_a_typed_overloaded_error() {
 fn bounds_and_adapt_ops_serve_and_cache() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -219,7 +323,6 @@ fn bad_requests_get_typed_errors_without_occupying_capacity() {
 fn hops_request_serves_valid_d_hop_schedules_and_adapt_rejects_it() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -308,7 +411,6 @@ fn default_solver_responses_are_pinned_byte_for_byte() {
     ];
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -330,7 +432,6 @@ fn default_solver_responses_are_pinned_byte_for_byte() {
 fn solver_alias_and_budget_ms_drive_the_anytime_solvers() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -412,12 +513,12 @@ fn unknown_solver_names_are_rejected_typed_via_either_field() {
 fn shutdown_drains_and_rejects_new_work() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::from_millis(50),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
+    add_slow_graph(&server);
     let (buf, sink) = sink();
-    server.handle_line(r#"{"id":1,"op":"solve","graph":"ring","b":3}"#, &sink);
+    server.handle_line(&slow_solve(1), &sink);
     assert!(server.handle_line(r#"{"id":2,"op":"shutdown"}"#, &sink));
     // Admission is closed from the moment shutdown was seen.
     server.handle_line(
@@ -445,7 +546,6 @@ fn shutdown_drains_and_rejects_new_work() {
 fn tcp_transport_serves_concurrent_mixed_clients_end_to_end() {
     let server = make_server(ServerConfig {
         capacity: 16,
-        batch_window: Duration::from_millis(5),
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -545,7 +645,6 @@ fn access_log_traces_the_lifecycle_without_changing_response_bytes() {
     let run = |with_log: bool| -> (Vec<String>, Vec<String>) {
         let server = make_server(ServerConfig {
             capacity: 8,
-            batch_window: Duration::ZERO,
             cache_bytes: 1 << 20,
             ..ServerConfig::default()
         });
@@ -631,7 +730,6 @@ fn access_log_traces_the_lifecycle_without_changing_response_bytes() {
 fn metrics_op_returns_valid_prometheus_exposition() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         ..ServerConfig::default()
     });
@@ -686,10 +784,7 @@ fn bounds_traffic_feeds_no_solve_latency_series() {
     // The telemetry registry is process-global: a graph name no other
     // test uses keeps their solves out of this assertion.
     let graph = "bounds_only_probe";
-    let server = Server::new(ServerConfig {
-        batch_window: Duration::ZERO,
-        ..ServerConfig::default()
-    });
+    let server = Server::new(ServerConfig::default());
     server.add_graph(graph, ring_graph(12));
     let server = Arc::new(server);
     let (buf, sink) = sink();
@@ -719,7 +814,6 @@ fn bounds_traffic_feeds_no_solve_latency_series() {
 fn profile_op_reports_the_trace_ring() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         trace_ring: 4,
         ..ServerConfig::default()
@@ -768,7 +862,6 @@ fn profile_op_reports_the_trace_ring() {
 fn slow_request_threshold_dumps_lifecycles_to_the_access_log() {
     let server = make_server(ServerConfig {
         capacity: 8,
-        batch_window: Duration::ZERO,
         cache_bytes: 1 << 20,
         slow_ms: Some(0), // everything is an outlier
         ..ServerConfig::default()

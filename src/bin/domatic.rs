@@ -17,8 +17,7 @@
 //! domatic render <graph.txt> --out fig.svg [--alg greedy|feige|augmented]
 //! domatic optimum <graph.txt> [--b N]      # exact LP, small graphs only
 //! domatic serve [--graph NAME=SPEC ...] [--port P] [--capacity N] \
-//!               [--shards N] [--shed-join-waiters N] \
-//!               [--batch-window-ms N] [--cache-bytes N] \
+//!               [--shards N] [--shed-join-waiters N] [--cache-bytes N] \
 //!               [--access-log PATH] [--metrics-port P] [--slow-ms N] \
 //!               [--trace-ring N]
 //! domatic bench-serve --addr HOST:PORT [--requests N] [--clients C] \
@@ -105,7 +104,7 @@ use domatic::schedule::validate_schedule_hops;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  domatic info <graph.txt>\n  domatic solve <graph.txt> [--b N] [--k K] [--hops D] [--alg SOLVER] [--solver SOLVER] [--seed S] [--trials R] [--budget-ms MS] [--max-iters N] [--verbose] [--gantt] [--out schedule.txt]   (alias: schedule)\n  domatic validate <graph.txt> <schedule.txt> [--b N] [--k K] [--hops D]\n  domatic partition <graph.txt> [--alg greedy|feige|augmented] [--seed S]\n  domatic simulate <graph.txt> [--b N] [--k K] [--seed S]\n  domatic adapt <graph.txt> [--b N] [--k K] [--alg SOLVER] [--seed S] [--trials R] [--failures none|crash|battery-noise|transient-loss|all] [--p P] [--slots N] [--retries N] [--drift N] [--json]\n  domatic render <graph.txt> --out fig.svg [--alg greedy|feige|augmented]\n  domatic optimum <graph.txt> [--b N]\n  domatic serve [--graph NAME=SPEC ...] [--port P] [--shards N] [--capacity N] [--batch-window-ms N] [--cache-bytes N] [--shed-join-waiters N] [--access-log PATH] [--metrics-port P] [--slow-ms N] [--trace-ring N]\n  domatic bench-serve --addr HOST:PORT [--requests N] [--clients C] [--mode closed|open] [--rate RPS] [--graphs a,b] [--trace-file req.jsonl] [--json] [--matrix [--clients-list 100,1000,10000] [--out BENCH_serve.json]]\n  domatic scenario --addr HOST:PORT [--quick] [--seed S] [--out BENCH_scenarios.json]   (needs graphs crash=gnp:32,5.0,7 flap=ring:24 recharge=ring:18 dense=dense:12,3)\n  domatic top --addr HOST:PORT [--interval-ms N] [--iterations N] [--no-clear]\n  domatic profile --addr HOST:PORT\nSOLVER is one of: {}\nany subcommand also takes --trace (print timing spans and counters on exit) and --threads N (thread-pool size; default RAYON_NUM_THREADS or all cores)",
+        "usage:\n  domatic info <graph.txt>\n  domatic solve <graph.txt> [--b N] [--k K] [--hops D] [--alg SOLVER] [--solver SOLVER] [--seed S] [--trials R] [--budget-ms MS] [--max-iters N] [--verbose] [--gantt] [--out schedule.txt]   (alias: schedule)\n  domatic validate <graph.txt> <schedule.txt> [--b N] [--k K] [--hops D]\n  domatic partition <graph.txt> [--alg greedy|feige|augmented] [--seed S]\n  domatic simulate <graph.txt> [--b N] [--k K] [--seed S]\n  domatic adapt <graph.txt> [--b N] [--k K] [--alg SOLVER] [--seed S] [--trials R] [--failures none|crash|battery-noise|transient-loss|all] [--p P] [--slots N] [--retries N] [--drift N] [--json]\n  domatic render <graph.txt> --out fig.svg [--alg greedy|feige|augmented]\n  domatic optimum <graph.txt> [--b N]\n  domatic serve [--graph NAME=SPEC ...] [--port P] [--shards N] [--capacity N] [--cache-bytes N] [--shed-join-waiters N] [--access-log PATH] [--metrics-port P] [--slow-ms N] [--trace-ring N]\n  domatic bench-serve --addr HOST:PORT [--requests N] [--clients C] [--mode closed|open] [--rate RPS] [--graphs a,b] [--trace-file req.jsonl] [--json] [--matrix [--clients-list 100,1000,10000] [--out BENCH_serve.json]]\n  domatic scenario --addr HOST:PORT [--quick] [--seed S] [--out BENCH_scenarios.json]   (needs graphs crash=gnp:32,5.0,7 flap=ring:24 recharge=ring:18 dense=dense:12,3)\n  domatic top --addr HOST:PORT [--interval-ms N] [--iterations N] [--no-clear]\n  domatic profile --addr HOST:PORT\nSOLVER is one of: {}\nany subcommand also takes --trace (print timing spans and counters on exit) and --threads N (thread-pool size; default RAYON_NUM_THREADS or all cores)",
         domatic::core::solver::solver_names().join("|")
     );
     std::process::exit(2)
@@ -716,13 +715,6 @@ fn cmd_serve(rest: &[String]) {
             "--port" => port = Some(next("--port").parse().unwrap_or_else(|_| usage())),
             "--stdio" => port = None,
             "--capacity" => cfg.capacity = next("--capacity").parse().unwrap_or_else(|_| usage()),
-            "--batch-window-ms" => {
-                cfg.batch_window = std::time::Duration::from_millis(
-                    next("--batch-window-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
             "--cache-bytes" => {
                 cfg.cache_bytes = next("--cache-bytes").parse().unwrap_or_else(|_| usage())
             }

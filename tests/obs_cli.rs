@@ -30,15 +30,7 @@ impl Drop for ServerProc {
 /// and reads both announced addresses off its stdout.
 fn start_server(access_log: &std::path::Path, graphs: &[&str]) -> ServerProc {
     let mut child = Command::new(BIN)
-        .args([
-            "serve",
-            "--port",
-            "0",
-            "--metrics-port",
-            "0",
-            "--batch-window-ms",
-            "0",
-        ])
+        .args(["serve", "--port", "0", "--metrics-port", "0"])
         .args(graphs.iter().flat_map(|g| ["--graph", g]))
         .arg("--access-log")
         .arg(access_log)
