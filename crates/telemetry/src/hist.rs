@@ -14,10 +14,10 @@ use std::sync::Arc;
 pub const NUM_BUCKETS: usize = 65;
 
 /// The canonical latency bucket layout, shared by the Prometheus
-/// exposition, the server's labeled request/solve histograms, and
-/// `bench-serve --json`: power-of-two microsecond upper bounds from 1µs
-/// to ~16.8s (2^24µs). Using one layout everywhere makes bench artifacts
-/// and live scrapes directly comparable, bucket for bucket.
+/// exposition and the server's labeled request/solve histograms:
+/// power-of-two microsecond upper bounds from 1µs to ~16.8s (2^24µs).
+/// Using one layout everywhere makes scrapes of different servers and
+/// `domatic top` windows directly comparable, bucket for bucket.
 pub fn default_latency_buckets_us() -> Vec<u64> {
     (0..=24).map(|i| 1u64 << i).collect()
 }
@@ -148,7 +148,7 @@ impl Histogram {
 /// (inclusive, Prometheus `le` semantics) plus one overflow (`+Inf`)
 /// bucket. Unlike [`Histogram`]'s fixed log-2 layout, the caller picks
 /// the bounds — which is what lets every exposition surface (the
-/// `metrics` op, `bench-serve --json`, scenario asserts) share one
+/// `metrics` op, the `--metrics-port` scrape, `domatic top`) share one
 /// bucket layout and stay directly comparable.
 #[derive(Debug)]
 pub struct BucketHistogram {

@@ -1,11 +1,13 @@
 //! End-to-end d-hop CLI test: `domatic solve --hops 2` must emit a
 //! schedule whose every slot 2-hop dominates the input graph, the
 //! `validate --hops` subcommand must accept it, and `adapt` must reject
-//! `--hops > 1` (the adaptive runtime's coverage census is 1-hop only).
+//! `--hops > 1` (the adaptive runtime's coverage census is 1-hop only)
+//! while its 1-hop runs survive crashes deterministically.
 
 use domatic::graph::domination::is_d_hop_dominating_set;
 use domatic::graph::Graph;
 use domatic::schedule::{validate_schedule_hops, Batteries};
+use domatic_telemetry::json::Json;
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_domatic");
@@ -121,6 +123,41 @@ fn schedule_alias_still_works_and_adapt_rejects_hops() {
         String::from_utf8_lossy(&out.stderr).contains("--hops"),
         "stderr should name the offending flag: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+
+    // adapt survives crashes: it replans, stays covered at least as long
+    // as the open-loop schedule, and prints the same bytes at 1 thread
+    // and at 4.
+    let adapt = |threads: &str| {
+        let out = Command::new(BIN)
+            .args(["adapt"])
+            .arg(&gpath)
+            .args(["--b", "4", "--failures", "crash", "--p", "0.05"])
+            .args(["--seed", "5", "--slots", "500", "--json"])
+            .args(["--threads", threads])
+            .output()
+            .expect("run domatic adapt");
+        assert!(out.status.success(), "adapt failed: {out:?}");
+        out.stdout
+    };
+    let stdout = adapt("1");
+    let text = String::from_utf8_lossy(&stdout);
+    let report = domatic_telemetry::json::parse(text.trim())
+        .unwrap_or_else(|e| panic!("adapt --json is not JSON ({e}): {text}"));
+    let int = |k: &str| report.get(k).and_then(|v| v.as_int());
+    assert!(int("replans").is_some_and(|r| r > 0), "{text}");
+    let (Some(adaptive), Some(fixed)) = (int("adaptive_lifetime"), int("static_lifetime")) else {
+        panic!("adapt --json lacks the lifetimes: {text}");
+    };
+    assert!(adaptive >= fixed, "{text}");
+    assert!(
+        matches!(report.get("coverage_curve"), Some(Json::Arr(points)) if !points.is_empty()),
+        "{text}"
+    );
+    assert_eq!(
+        stdout,
+        adapt("4"),
+        "adapt output differs across thread counts"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
