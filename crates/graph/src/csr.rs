@@ -9,10 +9,8 @@
 //! every algorithm in the workspace treats `Graph` as shared read-only data,
 //! which makes parallel traversal trivially data-race free.
 
-use crate::bits::NeighborhoodBits;
 use rayon::prelude::*;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node: a dense index in `0..n`.
 ///
@@ -29,37 +27,13 @@ pub type NodeId = u32;
 /// - every adjacency list `targets[offsets[v]..offsets[v+1]]` is strictly
 ///   sorted (thus no duplicate edges) and contains no self-loop.
 /// - adjacency is symmetric: `u ∈ N(v) ⇔ v ∈ N(u)`.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
-    /// Lazily built closed-neighborhood bitmask rows (see [`crate::bits`]).
-    /// `None` inside the `OnceLock` records that the build was attempted and
-    /// rejected by the memory budget, so it is not retried. Derived data:
-    /// cloning shares the rows via `Arc`, and equality ignores this field.
-    bits: OnceLock<Option<Arc<NeighborhoodBits>>>,
 }
-
-/// Equality is structural over the CSR arrays; the lazily cached
-/// neighborhood rows are derived data and never participate.
-impl PartialEq for Graph {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets && self.targets == other.targets
-    }
-}
-
-impl Eq for Graph {}
 
 impl Graph {
-    /// Internal constructor: wraps validated CSR arrays with an empty
-    /// kernel cache. All public constructors funnel through here.
-    fn raw(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
-        Graph {
-            offsets,
-            targets,
-            bits: OnceLock::new(),
-        }
-    }
     /// Builds a graph directly from CSR arrays.
     ///
     /// This is the low-level constructor used by [`crate::builder`]; most
@@ -90,7 +64,7 @@ impl Graph {
                 assert_ne!(u as usize, v, "self-loop at {v}");
             }
         }
-        let g = Graph::raw(offsets, targets);
+        let g = Graph { offsets, targets };
         debug_assert!(g.is_symmetric(), "CSR adjacency must be symmetric");
         g
     }
@@ -143,12 +117,15 @@ impl Graph {
         for v in 0..n {
             targets[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        Graph::raw(offsets, targets)
+        Graph { offsets, targets }
     }
 
     /// The empty graph on `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
-        Graph::raw(vec![0; n + 1], Vec::new())
+        Graph {
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
+        }
     }
 
     /// Number of nodes.
@@ -261,26 +238,6 @@ impl Graph {
             + self.targets.len() * std::mem::size_of::<NodeId>()
     }
 
-    /// The closed-neighborhood bitmask rows, built lazily on first use and
-    /// cached for the lifetime of the graph.
-    ///
-    /// Returns `None` when the rows would exceed the memory budget
-    /// ([`crate::bits::MAX_NEIGHBORHOOD_BITS_BYTES`]) — the dense fallback:
-    /// kernels then stay on the scalar CSR walks. The rejection itself is
-    /// cached, so repeated calls on an over-budget graph stay cheap.
-    pub fn neighborhood_bits(&self) -> Option<&NeighborhoodBits> {
-        self.bits
-            .get_or_init(|| NeighborhoodBits::build(self).map(Arc::new))
-            .as_deref()
-    }
-
-    /// The cached neighborhood rows if some earlier call already built
-    /// them; never triggers a build. Per-node queries use this so a single
-    /// lookup on a fresh graph does not pay the whole-matrix build cost.
-    pub fn cached_neighborhood_bits(&self) -> Option<&NeighborhoodBits> {
-        self.bits.get().and_then(|o| o.as_deref())
-    }
-
     /// The `d`-th graph power `G^d`: same nodes, with an edge `{u, v}`
     /// whenever `0 < dist(u, v) ≤ d`. Domination on `G^d` is exactly
     /// d-hop domination on `G`, which is how the solvers lift every 1-hop
@@ -331,7 +288,7 @@ impl Graph {
             offsets.push(targets.len());
         }
         // Distance is symmetric, so the constructed adjacency is too.
-        Graph::raw(offsets, targets)
+        Graph { offsets, targets }
     }
 }
 
@@ -453,17 +410,6 @@ mod tests {
     #[test]
     fn memory_bytes_positive() {
         assert!(triangle().memory_bytes() > 0);
-    }
-
-    #[test]
-    fn equality_ignores_kernel_cache() {
-        let a = triangle();
-        let b = triangle();
-        a.neighborhood_bits().unwrap();
-        assert_eq!(a, b);
-        let c = a.clone(); // clone shares the built rows
-        assert!(c.cached_neighborhood_bits().is_some());
-        assert_eq!(c, b);
     }
 
     #[test]

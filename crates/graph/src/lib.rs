@@ -21,7 +21,6 @@
 //! assert!(domination::is_dominating_set(&g, &mis));
 //! ```
 
-pub mod bits;
 pub mod builder;
 pub mod connected_domination;
 pub mod csr;
@@ -61,7 +60,6 @@ pub mod prelude {
     pub use crate::csr::{Graph, NodeId};
     pub use crate::nodeset::NodeSet;
     pub use crate::{
-        bits, connected_domination, domination, generators, independent, properties, subgraph,
-        traversal,
+        connected_domination, domination, generators, independent, properties, subgraph, traversal,
     };
 }

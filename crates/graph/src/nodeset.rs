@@ -12,6 +12,8 @@ use crate::csr::NodeId;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NodeSet {
     n: usize,
+    /// Bits at positions `>= n` are always zero: every mutator keeps them
+    /// so, and `len` and the word-level set operations count on it.
     words: Vec<u64>,
 }
 
@@ -146,22 +148,6 @@ impl NodeSet {
             .iter()
             .zip(&other.words)
             .all(|(a, b)| a & !b == 0)
-    }
-
-    /// The backing words, exposed to the word-parallel kernels in
-    /// [`crate::bits`]. Bits at positions `>= n` are always zero (the
-    /// invariant every mutator preserves), so kernels may AND these words
-    /// against neighborhood rows without re-masking the tail.
-    #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Mutable backing words for kernels that fill a set wholesale.
-    /// Callers must keep bits at positions `>= n` zero.
-    #[inline]
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
     }
 
     /// Iterates members in increasing order, one `trailing_zeros` per

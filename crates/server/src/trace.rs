@@ -16,8 +16,8 @@
 //!
 //! **Invariant — tracing never changes response bytes.** Trace ids and
 //! events exist only in access-log lines and the in-memory ring; they
-//! are never rendered into a response. The serve test suite and the CI
-//! `obs-smoke` job both pin response digests with tracing on vs off.
+//! are never rendered into a response. `tests/obs_cli.rs` pins the same
+//! response digests with tracing on and off.
 //!
 //! The ring buffer is always on (bounded, a few hundred records) and
 //! feeds the `profile` op; the JSON-lines sink is attached only when

@@ -1,7 +1,8 @@
 //! Minimal JSON encode/decode — the workspace is dependency-free by
 //! construction (no registry access), so the JSON-lines sink carries its
 //! own encoder, and the decoder exists so tests (and downstream tooling
-//! reading `BENCH_*.json`) can round-trip what the sink wrote.
+//! reading the experiments JSON-lines format) can round-trip what the
+//! sink wrote.
 //!
 //! Numbers are split into [`Json::Int`] and [`Json::Num`] so u64
 //! counters survive round-trips losslessly instead of squeezing through

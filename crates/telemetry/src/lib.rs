@@ -16,7 +16,7 @@
 //!   prints after the subcommand.
 //! - **`experiments … --json out.json`:** each experiment emits one
 //!   JSON-lines record with its tables plus the telemetry snapshot —
-//!   the format committed as `BENCH_*.json`.
+//!   the experiments JSON-lines format.
 //!
 //! ## Recording
 //!

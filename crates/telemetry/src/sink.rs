@@ -80,7 +80,7 @@ impl<W: Write> Sink for TableSink<W> {
     }
 }
 
-/// One compact JSON object per line — the `BENCH_*.json` wire format.
+/// One compact JSON object per line — the experiments JSON-lines format.
 /// Each line is `{"label": .., "telemetry": {counters, histograms,
 /// spans}}`; consumers stream with `jq -c`.
 pub struct JsonLinesSink<W: Write> {

@@ -216,9 +216,10 @@ impl Snapshot {
 
     /// Reconstructs a snapshot from [`Snapshot::to_json`] output — the
     /// round-trip that lets downstream tooling (and the tests pinning
-    /// the exposition renderer's input shape) consume `BENCH_*.json`
-    /// telemetry without a schema drift going unnoticed. Sections may be
-    /// absent (treated as empty); malformed values are an error.
+    /// the exposition renderer's input shape) consume the telemetry of
+    /// the experiments JSON-lines format without a schema drift going
+    /// unnoticed. Sections may be absent (treated as empty); malformed
+    /// values are an error.
     pub fn from_json(v: &Json) -> Result<Snapshot, String> {
         fn obj<'a>(v: &'a Json, key: &str) -> Result<Vec<(&'a String, &'a Json)>, String> {
             match v.get(key) {

@@ -180,6 +180,32 @@ fn parse_opts(args: &[String]) -> Opts {
     o
 }
 
+/// The disjoint dominating sets that `partition` prints and `render`
+/// draws, by `--alg`: greedy (also for `parse_opts`' default `uniform`),
+/// Feige et al.'s randomized partition, or greedy then augmentation. An
+/// unknown name prints usage and exits 2.
+fn partition_classes(g: &Graph, o: &Opts) -> Vec<NodeSet> {
+    use domatic::core::augment::augment_partition;
+    use domatic::core::feige::{feige_partition, FeigeParams};
+    use domatic::core::greedy::greedy_domatic_partition;
+    match o.alg.as_str() {
+        "greedy" | "uniform" => greedy_domatic_partition(g),
+        "feige" => {
+            feige_partition(
+                g,
+                &FeigeParams {
+                    c: 3.0,
+                    max_sweeps: 60,
+                    seed: o.seed,
+                },
+            )
+            .classes
+        }
+        "augmented" => augment_partition(g, greedy_domatic_partition(g)).classes,
+        _ => usage(),
+    }
+}
+
 fn solver_config(o: &Opts) -> SolverConfig {
     let mut budget = domatic::core::solver::Budget::new();
     if let Some(ms) = o.budget_ms {
@@ -342,26 +368,7 @@ fn run_command(cmd: &str, rest: &[String]) {
             let path = rest.first().unwrap_or_else(|| usage());
             let o = parse_opts(&rest[1..]);
             let g = load_graph(path);
-            use domatic::core::augment::augment_partition;
-            use domatic::core::feige::{feige_partition, FeigeParams};
-            use domatic::core::greedy::greedy_domatic_partition;
-            let classes = match o.alg.as_str() {
-                // "uniform" is parse_opts' default; map it to greedy here.
-                "greedy" | "uniform" => greedy_domatic_partition(&g),
-                "feige" => {
-                    feige_partition(
-                        &g,
-                        &FeigeParams {
-                            c: 3.0,
-                            max_sweeps: 60,
-                            seed: o.seed,
-                        },
-                    )
-                    .classes
-                }
-                "augmented" => augment_partition(&g, greedy_domatic_partition(&g)).classes,
-                _ => usage(),
-            };
+            let classes = partition_classes(&g, &o);
             println!(
                 "{} disjoint dominating sets (δ+1 ceiling: {})",
                 classes.len(),
@@ -540,25 +547,7 @@ fn run_command(cmd: &str, rest: &[String]) {
                 std::process::exit(2);
             };
             let g = load_graph(path);
-            use domatic::core::augment::augment_partition;
-            use domatic::core::feige::{feige_partition, FeigeParams};
-            use domatic::core::greedy::greedy_domatic_partition;
-            let classes = match o.alg.as_str() {
-                "greedy" | "uniform" => greedy_domatic_partition(&g),
-                "feige" => {
-                    feige_partition(
-                        &g,
-                        &FeigeParams {
-                            c: 3.0,
-                            max_sweeps: 60,
-                            seed: o.seed,
-                        },
-                    )
-                    .classes
-                }
-                "augmented" => augment_partition(&g, greedy_domatic_partition(&g)).classes,
-                _ => usage(),
-            };
+            let classes = partition_classes(&g, &o);
             let layout = domatic::viz::spring(&g, 80);
             let svg = domatic::viz::render_topology(
                 &g,

@@ -21,8 +21,8 @@
 //!
 //! `run_stats` totals the distributed-protocol communication cost of the
 //! experiment (zeros when it ran no protocol); `telemetry.spans` carries
-//! wall-clock totals per instrumented code path. The file is the format
-//! committed as `BENCH_*.json`; see README §Observability for jq recipes.
+//! wall-clock totals per instrumented code path. This is the experiments
+//! JSON-lines format; see README §Observability for jq recipes.
 
 use domatic::experiments::{registry, run_by_id};
 use domatic_distsim::RunStats;

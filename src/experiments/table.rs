@@ -124,6 +124,17 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
+/// The canonical digest of the rendered tables, for pinning an
+/// experiment's exact output in its tests.
+#[cfg(test)]
+pub(crate) fn rendered_digest(tables: &[Table]) -> String {
+    let mut hasher = domatic_core::hash::CanonicalHasher::new();
+    for t in tables {
+        hasher.write_str(&t.render());
+    }
+    format!("{:016x}", hasher.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

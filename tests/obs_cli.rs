@@ -1,12 +1,14 @@
 //! End-to-end serving tests: each spawns the real `domatic serve` binary
-//! on ephemeral ports and drives it over TCP.
+//! on ephemeral ports and drives it over TCP, or over stdio, its default
+//! transport.
 //!
 //! - `top` and `profile` run as subprocesses against a live traced
 //!   server — the acceptance path for the tracing, exposition, and
 //!   profiling surface.
 //! - A synthetic request mix, and the same mix at 100 and 1,000
 //!   connections, must hit pinned response digests closed-loop and
-//!   pipelined, traced and plain, at 1 shard and at 4.
+//!   pipelined, traced and plain, at 1 shard and at 4. Piped through
+//!   stdio, the mix must hit the same digest.
 //! - Four seeded churn campaigns replay `mutate`/`solve` sequences and
 //!   must hit pinned per-campaign digests at 1 shard and at 4.
 //!
@@ -460,6 +462,49 @@ fn synthetic_mix_serves_one_digest_traced_or_plain() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stdio_transport_serves_the_mix_digest() {
+    let mut child = Command::new(BIN)
+        .arg("serve")
+        .args(MIX_GRAPHS.iter().flat_map(|g| ["--graph", g]))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn domatic serve");
+    let mut input: String = mix_trace(50).iter().map(|r| format!("{r}\n")).collect();
+    input.push_str("{\"id\":51,\"op\":\"shutdown\"}\n");
+    // A few KiB fit the pipe buffer, so the whole trace is written
+    // before any response is read; dropping stdin closes it.
+    child
+        .stdin
+        .take()
+        .expect("child stdin")
+        .write_all(input.as_bytes())
+        .expect("write trace");
+    let out = child.wait_with_output().expect("wait for domatic serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "serve exited with {}: {stderr}",
+        out.status
+    );
+    // Stdio answers in completion order; drop the shutdown reply and
+    // sort, as `replay` does.
+    let mut responses: Vec<String> = String::from_utf8(out.stdout)
+        .expect("utf-8 responses")
+        .lines()
+        .filter(|line| !line.contains("\"draining\":true"))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(responses.len(), 50, "{responses:?}");
+    let errors = responses.iter().filter(|r| r.contains("\"ok\":false"));
+    assert_eq!(errors.count(), 0, "{responses:?}");
+    assert!(stderr.contains(" 7 solves,"), "{stderr}");
+    responses.sort_unstable();
+    assert_eq!(digest(&responses), MIX_DIGEST);
 }
 
 #[test]
