@@ -5,7 +5,6 @@
 //! and what the experiment harness reports next to each measured lifetime
 //! on instances too large for the exact LP.
 
-use crate::model::Instance;
 use domatic_graph::Graph;
 use domatic_schedule::Batteries;
 
@@ -35,11 +34,6 @@ pub fn general_upper_bound(g: &Graph, batteries: &Batteries) -> u64 {
 pub fn fault_tolerant_upper_bound(g: &Graph, b: u64, k: usize) -> u64 {
     assert!(k >= 1, "tolerance k must be at least 1");
     uniform_upper_bound(g, b) / k as u64
-}
-
-/// The general bound specialized to an [`Instance`].
-pub fn instance_upper_bound(inst: &Instance) -> u64 {
-    general_upper_bound(&inst.graph, &inst.batteries)
 }
 
 /// Fact 2.1, upper half: `(1 − t/n)^n ≤ e^{−t}` for `n ≥ 1`, `t ∈ [0, n]`.
@@ -130,12 +124,6 @@ mod tests {
         assert_eq!(ln_n(1), 1.0);
         assert_eq!(ln_n(2), 1.0);
         assert!((ln_n(100) - (100f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn instance_bound_delegates() {
-        let inst = Instance::uniform(cycle(5), 2);
-        assert_eq!(instance_upper_bound(&inst), 6);
     }
 
     use domatic_graph::Graph;

@@ -14,7 +14,7 @@
 //! This matches the existential bound empirically but is not a
 //! de-randomized proof — see DESIGN.md §2 (substitution note 4).
 
-use domatic_graph::domination::{dominator_count, is_dominating_set};
+use domatic_graph::domination::is_dominating_set;
 use domatic_graph::{Graph, NodeId, NodeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -156,23 +156,6 @@ pub fn feige_partition(g: &Graph, params: &FeigeParams) -> FeigeResult {
         target,
         sweeps,
     }
-}
-
-/// Checks the invariant the incremental counters maintain (test helper).
-pub fn counters_consistent(g: &Graph, color: &[u32], count: &[Vec<u32>]) -> bool {
-    (0..g.n() as NodeId).all(|v| {
-        count[v as usize].iter().enumerate().all(|(c, &cnt)| {
-            let set = NodeSet::from_iter(
-                g.n(),
-                color
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &cc)| cc == c as u32)
-                    .map(|(u, _)| u as NodeId),
-            );
-            dominator_count(g, &set, v) == cnt as usize
-        })
-    })
 }
 
 #[cfg(test)]

@@ -48,7 +48,6 @@ pub mod hash;
 pub mod incremental;
 pub mod io;
 mod local_search;
-pub mod model;
 pub mod partition;
 pub mod portfolio;
 pub mod sa;
@@ -65,13 +64,12 @@ pub use general::{general_schedule, GeneralParams, MultiColorAssignment};
 pub use greedy::{greedy_domatic_partition, greedy_general_schedule, greedy_uniform_schedule};
 pub use hash::{batteries_hash, config_hash, graph_hash, versioned_graph_hash, CanonicalHasher};
 pub use incremental::GraphDelta;
-pub use model::Instance;
 pub use partition::ColorAssignment;
 pub use portfolio::PortfolioSolver;
 pub use sa::SaSolver;
 pub use solver::{
     make_solver, solver_names, solver_registry, FaultTolerantSolver, GeneralSolver, GreedySolver,
-    Incumbent, Solver, SolverConfig, SolverConfigBuilder, UniformSolver,
+    Incumbent, Solver, SolverConfig, UniformSolver,
 };
 pub use tabu::TabuSolver;
 pub use uniform::{uniform_schedule, UniformParams};
@@ -85,7 +83,8 @@ pub use uniform::{uniform_schedule, UniformParams};
 /// use domatic_schedule::Batteries;
 ///
 /// let solver = make_solver("portfolio").unwrap();
-/// let cfg = SolverConfig::builder().trials(2).build().unwrap();
+/// let cfg = SolverConfig::new().trials(2);
+/// cfg.validate().unwrap();
 /// let s = solver
 ///     .schedule(&complete(20), &Batteries::uniform(20, 2), &cfg)
 ///     .unwrap();
@@ -99,7 +98,7 @@ pub mod prelude {
     pub use crate::solver::{
         effective_graph, make_solver, solver_names, solver_registry, DiscardIncumbent,
         FaultTolerantSolver, GeneralSolver, GreedySolver, Incumbent, Solver, SolverConfig,
-        SolverConfigBuilder, TraceIncumbent, UniformSolver,
+        TraceIncumbent, UniformSolver,
     };
     pub use crate::tabu::TabuSolver;
 }

@@ -21,7 +21,7 @@
 //! [`Budget`] inside [`SolverConfig`] (iteration cap, stall cutoff,
 //! optional wall-clock deadline via an injectable [`Clock`]); the budget
 //! is part of the config hash, so the serve cache keys per-budget.
-//! Configs are validated — [`SolverConfig::builder`] returns typed
+//! Configs are validated — [`SolverConfig::validate`] returns typed
 //! [`DomaticError::Config`] errors for nonsense like `trials == 0`
 //! instead of silently solving garbage.
 //!
@@ -37,7 +37,7 @@
 //! assert!(s.lifetime() >= 2);
 //!
 //! // Validation is explicit and typed:
-//! assert!(SolverConfig::builder().trials(0).build().is_err());
+//! assert!(SolverConfig::new().trials(0).validate().is_err());
 //! ```
 
 use crate::bounds::{fault_tolerant_upper_bound, general_upper_bound};
@@ -57,7 +57,7 @@ pub use crate::budget::{Budget, BudgetMeter, Clock, ManualClock, SystemClock};
 ///
 /// Defaults match the CLI's historical defaults: `seed 0`, `trials 8`,
 /// `k 1`, `c 3.0` (the paper's range constant), `hops 1`, default
-/// [`Budget`]. Prefer [`SolverConfig::builder`] when the values come from
+/// [`Budget`]. Call [`SolverConfig::validate`] when the values come from
 /// untrusted input — it rejects invalid combinations with typed errors;
 /// the registry solvers also re-validate at solve time.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,14 +91,6 @@ impl SolverConfig {
             c: 3.0,
             hops: 1,
             budget: Budget::new(),
-        }
-    }
-
-    /// A validating builder over the same fluent surface; see
-    /// [`SolverConfigBuilder::build`].
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder {
-            cfg: SolverConfig::new(),
         }
     }
 
@@ -164,58 +156,6 @@ impl SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Builder returned by [`SolverConfig::builder`]: the same fluent setters,
-/// but terminated by a validating [`SolverConfigBuilder::build`].
-#[derive(Clone, Debug)]
-pub struct SolverConfigBuilder {
-    cfg: SolverConfig,
-}
-
-impl SolverConfigBuilder {
-    /// Sets the base seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the number of best-of-R restarts.
-    pub fn trials(mut self, trials: u64) -> Self {
-        self.cfg.trials = trials;
-        self
-    }
-
-    /// Sets the fault-tolerance level `k`.
-    pub fn k(mut self, k: usize) -> Self {
-        self.cfg.k = k;
-        self
-    }
-
-    /// Sets the color-range constant `c`.
-    pub fn c(mut self, c: f64) -> Self {
-        self.cfg.c = c;
-        self
-    }
-
-    /// Sets the coverage radius (d-hop domination).
-    pub fn hops(mut self, hops: usize) -> Self {
-        self.cfg.hops = hops;
-        self
-    }
-
-    /// Sets the anytime work budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.cfg.budget = budget;
-        self
-    }
-
-    /// Validates and returns the configuration, or the first problem as a
-    /// typed [`DomaticError::Config`].
-    pub fn build(self) -> Result<SolverConfig, DomaticError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -611,22 +551,21 @@ mod tests {
 
     #[test]
     fn validating_builder_accepts_good_configs() {
-        let cfg = SolverConfig::builder()
+        let cfg = SolverConfig::new()
             .seed(5)
             .trials(2)
             .k(1)
             .c(3.5)
             .hops(2)
-            .budget(Budget::new().max_iterations(100))
-            .build()
-            .unwrap();
+            .budget(Budget::new().max_iterations(100));
+        cfg.validate().unwrap();
         assert_eq!(cfg.seed, 5);
         assert_eq!(cfg.budget.max_iterations, 100);
     }
 
     #[test]
     fn builder_rejects_zero_trials() {
-        let err = SolverConfig::builder().trials(0).build().unwrap_err();
+        let err = SolverConfig::new().trials(0).validate().unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.to_string().contains("trials"), "{err}");
     }
@@ -634,7 +573,7 @@ mod tests {
     #[test]
     fn builder_rejects_nonpositive_c() {
         for c in [0.0, -1.5, f64::NAN] {
-            let err = SolverConfig::builder().c(c).build().unwrap_err();
+            let err = SolverConfig::new().c(c).validate().unwrap_err();
             assert_eq!(err.kind(), "config", "c = {c}");
             assert!(err.to_string().contains('c'), "{err}");
         }
@@ -642,7 +581,7 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_hops() {
-        let err = SolverConfig::builder().hops(0).build().unwrap_err();
+        let err = SolverConfig::new().hops(0).validate().unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.to_string().contains("hops"), "{err}");
     }

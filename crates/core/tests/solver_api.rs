@@ -103,7 +103,8 @@ fn prelude_exposes_the_registry() {
     let b = Batteries::uniform(4, 2);
     for name in solver_names() {
         let solver = make_solver(name).unwrap();
-        let cfg = SolverConfig::builder().trials(2).build().unwrap();
+        let cfg = SolverConfig::new().trials(2);
+        cfg.validate().unwrap();
         let s = solver.schedule(&g, &b, &cfg).unwrap();
         assert!(s.lifetime() >= 1, "{name}");
     }

@@ -9,8 +9,5 @@
 
 pub mod fault_tolerant;
 pub mod general;
-pub mod khop;
-pub mod local_greedy;
 pub mod luby;
-pub mod radio_uniform;
 pub mod uniform;

@@ -9,7 +9,6 @@
 //! - [`grid`] — 2D lattices with 4- or 8-neighborhoods, optionally toroidal.
 //! - [`regular`] — deterministic families: paths, cycles, stars, cliques,
 //!   complete bipartite graphs, hypercubes.
-//! - [`tree`] — random attachment trees and balanced k-ary trees.
 //! - [`fujita`] — the adversarial family on which the greedy domatic
 //!   partition collapses to O(1) sets while the optimum is Θ(√n).
 //! - [`planted`] — families whose domatic number is known exactly, used as
@@ -22,4 +21,3 @@ pub mod grid;
 pub mod planted;
 pub mod preferential;
 pub mod regular;
-pub mod tree;

@@ -8,8 +8,8 @@
 //! under `RAYON_NUM_THREADS=1` and `=4`.
 
 use domatic_graph::domination::{
-    dilate, dominator_count, is_d_hop_k_dominating_set, is_d_hop_k_dominating_set_scalar,
-    is_k_dominating_set, uncovered_nodes,
+    d_hop_dominator_count, dilate, dominator_count, is_d_hop_k_dominating_set,
+    is_d_hop_k_dominating_set_scalar, is_k_dominating_set, uncovered_nodes,
 };
 use domatic_graph::generators::gnp::gnp;
 use domatic_graph::nodeset::NodeSet;
@@ -42,6 +42,10 @@ proptest! {
             .collect();
         prop_assert_eq!(&uncovered_nodes(&g, &set, k), &counted);
         prop_assert_eq!(is_k_dominating_set(&g, &set, k), counted.is_empty());
+        // The 1-hop BFS count is the closed-neighbourhood count.
+        for v in g.nodes() {
+            prop_assert_eq!(d_hop_dominator_count(&g, &set, v, 1), dominator_count(&g, &set, v));
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 pub mod domatic_lp;
 pub mod enumerate;
-pub mod fractional_mds;
 pub mod ilp;
 pub mod problem;
 pub mod simplex;
@@ -30,7 +29,6 @@ pub use domatic_lp::{
     exact_integral_lifetime, figure1_instance, lp_optimal_lifetime, ExactError, FractionalOptimum,
 };
 pub use enumerate::{exact_domatic_number, minimal_dominating_sets, TooManySets};
-pub use fractional_mds::{fractional_mds, mds_via_lp, round_fractional, FractionalMds};
 pub use ilp::{branch_and_bound_lifetime, IntegralOptimum};
 pub use problem::{Constraint, LinearProgram, Relation};
 pub use simplex::{solve, LpSolution};

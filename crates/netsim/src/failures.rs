@@ -18,8 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
-/// Kills nodes during a simulation: independent per-slot crashes plus an
-/// optional scripted kill list.
+/// Kills nodes during a simulation: independent per-slot crashes or a
+/// scripted kill list.
 #[derive(Clone, Debug)]
 pub struct FailureInjector {
     /// Per-node, per-slot crash probability.
@@ -49,12 +49,6 @@ impl FailureInjector {
             rng: StdRng::seed_from_u64(0),
             scripted: kills,
         }
-    }
-
-    /// Adds scripted kills to a random injector.
-    pub fn with_scripted(mut self, kills: Vec<(u64, NodeId)>) -> Self {
-        self.scripted.extend(kills);
-        self
     }
 
     /// Applies this slot's failures to the `dead` mask. Called by the

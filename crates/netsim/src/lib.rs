@@ -38,7 +38,6 @@ pub mod energy;
 pub mod failures;
 pub mod sim;
 pub mod strategies;
-pub mod trace;
 
 pub use adaptive::{
     compare_static_adaptive, run_adaptive, run_adaptive_from, run_static, AdaptiveComparison,
@@ -50,4 +49,3 @@ pub use sim::{simulate, simulate_observed, EndReason, SimConfig, SimResult, Slot
 pub use strategies::{
     AllActive, DomaticRotation, FollowSchedule, RandomRotation, SingleMds, Strategy,
 };
-pub use trace::{simulate_traced, SimTrace};

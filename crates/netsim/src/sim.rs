@@ -234,6 +234,64 @@ mod tests {
     use domatic_graph::generators::regular::star;
     use domatic_graph::NodeSet;
 
+    /// Runs [`simulate_observed`] under the standard model at `k = 1` and
+    /// collects every record the observer receives.
+    fn observe(
+        g: &Graph,
+        energy: &[f64],
+        strategy: &mut dyn Strategy,
+    ) -> (Vec<SlotRecord>, SimResult) {
+        let cfg = SimConfig {
+            max_slots: 1000,
+            ..SimConfig::default()
+        };
+        let mut records = Vec::new();
+        let res = simulate_observed(g, energy, strategy, &cfg, None, &mut |r| records.push(r));
+        (records, res)
+    }
+
+    #[test]
+    fn observer_sees_each_successful_slot_once_in_order() {
+        let (records, res) = observe(&star(5), &[3.0; 5], &mut SingleMds::new());
+        assert!(res.lifetime > 0);
+        assert_eq!(records.len() as u64, res.lifetime);
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(r.slot, i as u64);
+        }
+    }
+
+    #[test]
+    fn observed_slots_cover_every_alive_node() {
+        let (records, _) = observe(&star(6), &[4.0; 6], &mut SingleMds::new());
+        assert!(!records.is_empty());
+        for r in &records {
+            assert_eq!(r.covered, r.alive, "slot {}", r.slot);
+        }
+    }
+
+    #[test]
+    fn empty_run_calls_no_observer() {
+        let (records, res) = observe(&star(3), &[0.0; 3], &mut SingleMds::new());
+        assert!(records.is_empty());
+        assert_eq!(res.lifetime, 0);
+    }
+
+    #[test]
+    fn observed_awake_sets_follow_the_rotation_dwell() {
+        let classes = vec![
+            NodeSet::from_iter(5, [0]),
+            NodeSet::from_iter(5, [1, 2, 3, 4]),
+        ];
+        let mut rotation = DomaticRotation::new(classes.clone(), 2);
+        let (records, res) = observe(&star(5), &[2.0; 5], &mut rotation);
+        // Two slots on the center, then one on the leaves.
+        assert_eq!(res.lifetime, 3);
+        for r in &records {
+            let dwelt = &classes[(r.slot / 2) as usize % classes.len()];
+            assert_eq!(&r.awake, dwelt, "slot {}", r.slot);
+        }
+    }
+
     #[test]
     fn all_active_dies_fast_on_star() {
         let g = star(5);

@@ -4,7 +4,7 @@
 use crate::energy::{Batteries, EnergyLedger};
 use crate::Schedule;
 use domatic_graph::domination::{
-    d_hop_dominator_count, dominator_count, is_d_hop_k_dominating_set, is_k_dominating_set,
+    d_hop_dominator_count, is_d_hop_k_dominating_set, is_k_dominating_set,
 };
 use domatic_graph::{Graph, NodeId};
 
@@ -85,52 +85,16 @@ pub fn validate_schedule(
     schedule: &Schedule,
     k: usize,
 ) -> Result<(), Violation> {
-    assert_eq!(g.n(), batteries.n(), "graph/battery size mismatch");
-    for (i, e) in schedule.entries().iter().enumerate() {
-        if e.set.universe() != g.n() {
-            return Err(Violation::UniverseMismatch {
-                step: i,
-                got: e.set.universe(),
-                expected: g.n(),
-            });
-        }
-        if !is_k_dominating_set(g, &e.set, k) {
-            // Locate a witness node for the error report.
-            for v in 0..g.n() as NodeId {
-                let have = dominator_count(g, &e.set, v);
-                if have < k {
-                    return Err(Violation::NotDominating {
-                        step: i,
-                        node: v,
-                        have,
-                        need: k,
-                    });
-                }
-            }
-            unreachable!("is_k_dominating_set said no but all nodes covered");
-        }
-    }
-    for v in 0..g.n() as NodeId {
-        let active = schedule.active_time(v);
-        let budget = batteries.get(v);
-        if active > budget {
-            return Err(Violation::OverBudget {
-                node: v,
-                active,
-                budget,
-            });
-        }
-    }
-    Ok(())
+    validate_schedule_hops(g, batteries, schedule, k, 1)
 }
 
 /// d-hop variant of [`validate_schedule`]: every entry must be a
 /// `hops`-hop `k`-dominating set of `g` (each node needs `k` active nodes
 /// within `hops` hops) and no node may exceed its battery.
 ///
-/// `hops <= 1` delegates to the classic validator, so the two agree
-/// exactly on 1-hop instances. Witness nodes in [`Violation::NotDominating`]
-/// report their d-hop dominator counts.
+/// `hops <= 1` is classic closed-neighbourhood domination, so the two
+/// validators agree exactly on 1-hop instances. Witness nodes in
+/// [`Violation::NotDominating`] report their d-hop dominator counts.
 pub fn validate_schedule_hops(
     g: &Graph,
     batteries: &Batteries,
@@ -138,10 +102,8 @@ pub fn validate_schedule_hops(
     k: usize,
     hops: usize,
 ) -> Result<(), Violation> {
-    if hops <= 1 {
-        return validate_schedule(g, batteries, schedule, k);
-    }
     assert_eq!(g.n(), batteries.n(), "graph/battery size mismatch");
+    let hops = hops.max(1);
     for (i, e) in schedule.entries().iter().enumerate() {
         if e.set.universe() != g.n() {
             return Err(Violation::UniverseMismatch {
@@ -151,6 +113,7 @@ pub fn validate_schedule_hops(
             });
         }
         if !is_d_hop_k_dominating_set(g, &e.set, k, hops) {
+            // Locate a witness node for the error report.
             for v in 0..g.n() as NodeId {
                 let have = d_hop_dominator_count(g, &e.set, v, hops);
                 if have < k {

@@ -1,8 +1,7 @@
 //! Minimal JSON encode/decode — the workspace is dependency-free by
-//! construction (no registry access), so the JSON-lines sink carries its
-//! own encoder, and the decoder exists so tests (and downstream tooling
-//! reading the experiments JSON-lines format) can round-trip what the
-//! sink wrote.
+//! construction (no registry access), so it carries its own. The
+//! experiments JSON-lines records and the server's wire protocol are
+//! written and read with it, and tests round-trip one through the other.
 //!
 //! Numbers are split into [`Json::Int`] and [`Json::Num`] so u64
 //! counters survive round-trips losslessly instead of squeezing through
@@ -138,7 +137,7 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Parses one JSON value from `text` (whole-input; trailing non-space is
 /// an error). Recursive descent, no recursion-depth guard beyond the
-/// stack — inputs here are the sink's own output.
+/// stack: nesting depth is bounded only by the input's length.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;

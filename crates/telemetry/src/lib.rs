@@ -2,7 +2,8 @@
 //!
 //! Workspace-wide observability: hierarchical span timers, named
 //! counters, log-bucket histograms (p50/p90/p99), a thread-safe global
-//! [`Registry`], and pluggable sinks (human table, machine JSON-lines).
+//! [`Registry`], a human-readable [`TableSink`], and the JSON encoding of
+//! a [`Snapshot`] that machine-readable output embeds.
 //!
 //! The paper's claims are quantitative — round counts, per-node message
 //! complexity, lifetime ratios — so every scheduler and simulator in the
@@ -47,7 +48,7 @@ pub use hist::{
     default_latency_buckets_us, BucketHistogram, BucketSummary, HistSummary, Histogram,
 };
 pub use registry::{label_string, Counter, Gauge, Registry, SpanStat};
-pub use sink::{JsonLinesSink, Sink, TableSink};
+pub use sink::TableSink;
 pub use snapshot::{FamilySummary, Snapshot};
 pub use span::{enabled, set_enabled, spans_elided, Span};
 

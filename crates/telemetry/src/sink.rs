@@ -1,13 +1,10 @@
-//! Pluggable snapshot consumers: a human table and machine JSON-lines.
+//! The human-readable snapshot consumer: aligned plain-text tables.
+//!
+//! Machine output needs no sink: `experiments --json` writes
+//! [`Snapshot::to_json`] into its own JSON-lines record.
 
 use crate::snapshot::{format_ns, Snapshot};
 use std::io::{self, Write};
-
-/// Consumes labelled snapshots (one per experiment / subcommand / run).
-pub trait Sink {
-    /// Emits one snapshot under `label`.
-    fn emit(&mut self, label: &str, snapshot: &Snapshot) -> io::Result<()>;
-}
 
 /// Aligned plain-text tables, for terminals.
 pub struct TableSink<W: Write> {
@@ -24,10 +21,9 @@ impl<W: Write> TableSink<W> {
     pub fn into_inner(self) -> W {
         self.out
     }
-}
 
-impl<W: Write> Sink for TableSink<W> {
-    fn emit(&mut self, label: &str, snapshot: &Snapshot) -> io::Result<()> {
+    /// Writes one snapshot under `label`.
+    pub fn emit(&mut self, label: &str, snapshot: &Snapshot) -> io::Result<()> {
         writeln!(self.out, "=== telemetry: {label} ===")?;
         if !snapshot.counters.is_empty() {
             let width = snapshot
@@ -80,40 +76,9 @@ impl<W: Write> Sink for TableSink<W> {
     }
 }
 
-/// One compact JSON object per line — the experiments JSON-lines format.
-/// Each line is `{"label": .., "telemetry": {counters, histograms,
-/// spans}}`; consumers stream with `jq -c`.
-pub struct JsonLinesSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// A JSON-lines sink writing to `out`.
-    pub fn new(out: W) -> Self {
-        JsonLinesSink { out }
-    }
-
-    /// The underlying writer (to flush or inspect).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> Sink for JsonLinesSink<W> {
-    fn emit(&mut self, label: &str, snapshot: &Snapshot) -> io::Result<()> {
-        use crate::json::Json;
-        let line = Json::obj([
-            ("label".into(), Json::Str(label.into())),
-            ("telemetry".into(), snapshot.to_json()),
-        ]);
-        writeln!(self.out, "{}", line.render())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::registry::SpanStat;
 
     fn sample() -> Snapshot {
@@ -138,24 +103,5 @@ mod tests {
         assert!(text.contains("tx"));
         assert!(text.contains("run"));
         assert!(text.contains("total (top-level): 1.00µs"));
-    }
-
-    #[test]
-    fn json_lines_sink_emits_parseable_lines() {
-        let mut sink = JsonLinesSink::new(Vec::new());
-        sink.emit("a", &sample()).unwrap();
-        sink.emit("b", &sample()).unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (line, label) in lines.iter().zip(["a", "b"]) {
-            let v = json::parse(line).unwrap();
-            assert_eq!(v.get("label").unwrap().as_str(), Some(label));
-            let tel = v.get("telemetry").unwrap();
-            assert_eq!(
-                tel.get("counters").unwrap().get("tx").unwrap().as_int(),
-                Some(12)
-            );
-        }
     }
 }

@@ -1,4 +1,5 @@
-//! Point-in-time registry state: the unit sinks consume.
+//! Point-in-time registry state: what the table sink prints and the
+//! experiments JSON-lines records embed.
 
 use crate::hist::{BucketSummary, HistSummary};
 use crate::json::Json;

@@ -1,5 +1,5 @@
 //! Integration tests for domatic-telemetry: histogram boundaries,
-//! nested span aggregation, concurrency, and JSON sink round-trips.
+//! nested span aggregation, concurrency, and JSON round-trips.
 //!
 //! Span tests share the process-global registry (the span stack is
 //! global by design), so every test uses its own `name.` prefix rather
@@ -7,7 +7,7 @@
 
 use domatic_telemetry as telemetry;
 use telemetry::hist::{bucket_index, bucket_upper_bound, Histogram};
-use telemetry::{json, JsonLinesSink, Registry, Sink, TableSink};
+use telemetry::{json, Registry, TableSink};
 
 /// Tests that flip the process-wide enabled flag take this lock so the
 /// parallel test harness cannot interleave them.
@@ -117,14 +117,9 @@ fn json_sink_round_trips_through_parser() {
     reg.record_span("rt.run", 123_456_789);
     reg.record_span("rt.run/rt.phase", 23_456_789);
 
-    let snap = reg.snapshot();
-    let mut sink = JsonLinesSink::new(Vec::new());
-    sink.emit("round-trip", &snap).unwrap();
-    let line = String::from_utf8(sink.into_inner()).unwrap();
-
-    let v = json::parse(line.trim()).unwrap();
-    assert_eq!(v.get("label").unwrap().as_str(), Some("round-trip"));
-    let tel = v.get("telemetry").unwrap();
+    // The encoding `experiments --json` embeds in each record.
+    let line = reg.snapshot().to_json().render();
+    let tel = json::parse(&line).unwrap();
     let counters = tel.get("counters").unwrap();
     assert_eq!(counters.get("rt.transmissions").unwrap().as_int(), Some(42));
     assert_eq!(counters.get("rt.rounds").unwrap().as_int(), Some(3));

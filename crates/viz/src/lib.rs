@@ -1,8 +1,8 @@
 //! # domatic-viz
 //!
 //! Dependency-free SVG rendering for the `domatic` workspace: topology
-//! figures with partition coloring and schedule Gantt timelines. Used by
-//! the CLI's `render` subcommand and handy for papers/demos.
+//! figures with partition coloring. Used by the CLI's `render` subcommand
+//! and handy for papers/demos.
 //!
 //! ```
 //! use domatic_graph::generators::regular::cycle;
@@ -20,10 +20,8 @@
 
 pub mod layout;
 pub mod svg;
-pub mod timeline;
 pub mod topology;
 
 pub use layout::{circular, from_positions, spring, Layout};
 pub use svg::{class_color, SvgDoc, PALETTE};
-pub use timeline::{render_timeline, TimelineStyle};
 pub use topology::{render_topology, TopologyStyle};

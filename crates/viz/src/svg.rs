@@ -1,5 +1,5 @@
-//! A minimal SVG document builder — just enough shapes for topology and
-//! timeline figures, no dependencies, everything escaped.
+//! A minimal SVG document builder — just enough shapes for topology
+//! figures, no dependencies, everything escaped.
 
 use std::fmt::Write as _;
 
@@ -31,16 +31,6 @@ impl SvgDoc {
             height,
             body: String::new(),
         }
-    }
-
-    /// Document width.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Document height.
-    pub fn height(&self) -> f64 {
-        self.height
     }
 
     /// Adds a filled circle.

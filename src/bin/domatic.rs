@@ -253,7 +253,6 @@ fn main() {
     };
     run_command(&cmd, &rest);
     if trace {
-        use domatic_telemetry::Sink;
         let snapshot = domatic_telemetry::global().snapshot();
         let mut sink = domatic_telemetry::TableSink::new(std::io::stderr());
         sink.emit(&cmd, &snapshot).expect("write trace");

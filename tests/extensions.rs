@@ -1,6 +1,5 @@
 //! Integration tests for the §7-extension pipelines: connected
-//! clustering, general k-tolerance, epochs, augmentation, and the no-MAC
-//! radio path.
+//! clustering, general k-tolerance, epochs and augmentation.
 
 use domatic::core::augment::augment_partition;
 use domatic::core::cds::{all_entries_connected, connected_uniform_schedule};
@@ -11,8 +10,6 @@ use domatic::core::general_fault_tolerant::{
 };
 use domatic::core::greedy::greedy_domatic_partition;
 use domatic::core::uniform::UniformParams;
-use domatic::distsim::protocols::radio_uniform::radio_uniform_schedule;
-use domatic::distsim::radio::RadioParams;
 use domatic::graph::domination::is_disjoint_dominating_family;
 use domatic::prelude::*;
 use domatic::schedule::{longest_valid_prefix, validate_schedule};
@@ -60,27 +57,6 @@ fn augmentation_result_schedules_validly() {
     let schedule = Schedule::from_entries(res.classes.into_iter().map(|c| (c, b)));
     let batteries = Batteries::uniform(g.n(), b);
     validate_schedule(&g, &batteries, &schedule, 1).unwrap();
-}
-
-#[test]
-fn radio_path_feeds_the_standard_validation_machinery() {
-    let g = graph::generators::gnp::gnp_with_avg_degree(120, 50.0, 1);
-    let b = 2u64;
-    let run = radio_uniform_schedule(
-        &g,
-        b,
-        3.0,
-        &RadioParams {
-            p: None,
-            max_slots: 100_000,
-            seed: 3,
-        },
-    );
-    assert!(run.dissemination.complete);
-    let batteries = Batteries::uniform(g.n(), b);
-    let valid = longest_valid_prefix(&g, &batteries, &run.schedule, 1);
-    validate_schedule(&g, &batteries, &valid, 1).unwrap();
-    assert!(valid.lifetime() >= b); // at least one class survives
 }
 
 #[test]

@@ -1,15 +1,11 @@
-//! Integration: the visualization pipeline — partition → topology SVG and
-//! simulation trace → timeline SVG.
+//! Integration: the visualization pipeline — partition → topology SVG —
+//! and the awake-set history a simulation observer records.
 
 use domatic::core::greedy::greedy_domatic_partition;
-use domatic::netsim::trace::{simulate_traced, traced_config};
-use domatic::netsim::{DomaticRotation, SingleMds};
+use domatic::netsim::{simulate_observed, SimConfig, SingleMds};
 use domatic::prelude::*;
 use domatic::schedule::compact::compact;
-use domatic::viz::{
-    circular, from_positions, render_timeline, render_topology, spring, TimelineStyle,
-    TopologyStyle,
-};
+use domatic::viz::{circular, from_positions, render_topology, spring, TopologyStyle};
 
 /// Cheap well-formedness check: every opened tag closes or self-closes,
 /// in order (sufficient for the flat SVG we emit).
@@ -55,25 +51,6 @@ fn partition_topology_svg_renders_every_node() {
 }
 
 #[test]
-fn trace_timeline_svg_matches_the_simulation() {
-    let g = graph::generators::gnp::gnp_with_avg_degree(60, 20.0, 9);
-    let classes = greedy_domatic_partition(&g);
-    let cfg = traced_config(1, 10_000);
-    let trace = simulate_traced(
-        &g,
-        &vec![5.0; g.n()],
-        &mut DomaticRotation::new(classes, 1),
-        &cfg,
-        None,
-    );
-    assert!(trace.result.lifetime > 0);
-    let schedule = compact(&trace.to_schedule());
-    let svg = render_timeline(&schedule, g.n(), &TimelineStyle::default());
-    assert!(tags_balanced(&svg));
-    assert!(svg.contains(&format!("node {}", g.n() - 1)));
-}
-
-#[test]
 fn spring_and_circular_layouts_drive_the_same_renderer() {
     let g = graph::generators::regular::cycle(12);
     let classes = greedy_domatic_partition(&g);
@@ -87,10 +64,16 @@ fn spring_and_circular_layouts_drive_the_same_renderer() {
 #[test]
 fn single_mds_trace_has_constant_awake_set_until_death() {
     let g = graph::generators::regular::star(8);
-    let cfg = traced_config(1, 1000);
-    let trace = simulate_traced(&g, &[4.0; 8], &mut SingleMds::new(), &cfg, None);
+    let cfg = SimConfig {
+        max_slots: 1000,
+        ..SimConfig::default()
+    };
+    let mut awake = Vec::new();
+    simulate_observed(&g, &[4.0; 8], &mut SingleMds::new(), &cfg, None, &mut |r| {
+        awake.push((r.awake, 1))
+    });
     // The first 4 slots all use {center}; compaction collapses them.
-    let compacted = compact(&trace.to_schedule());
+    let compacted = compact(&Schedule::from_entries(awake));
     assert!(compacted.num_steps() <= 2);
     assert_eq!(compacted.entries()[0].set.to_vec(), vec![0]);
 }
