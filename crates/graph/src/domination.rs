@@ -152,13 +152,16 @@ pub fn greedy_dominating_set(g: &Graph, alive: &NodeSet) -> Option<NodeSet> {
             }
         })
         .collect();
-    // Lazy-decrement max-heap over (gain, lowest-id-wins). Gains only
-    // decrease; every decrement that leaves a gain positive pushes a fresh
-    // entry, and stale entries — whose recorded gain no longer matches
-    // `gain[v]` — are discarded on pop. Each of the n + 2m closed-adjacency
-    // entries is decremented at most once, so the heap grows to O(n + m)
-    // entries and an extraction costs O((n + m) log(n + m)). `Reverse(v)`
-    // breaks gain ties toward the smallest id.
+    // Lazy max-heap over (gain, lowest-id-wins) with at most one entry per
+    // node, so it holds at most n entries. Gains only decrease, and a
+    // decrement touches only `gain`, so an entry's recorded gain is at
+    // least its node's true gain. A popped entry whose recorded gain still
+    // matches `gain[v]` therefore has the largest true gain (and, through
+    // `Reverse(v)`, the smallest id among ties); a stale one is pushed back
+    // at its current gain if that is positive. A pop is stale only after a
+    // decrement of its node, and each of the n + 2m closed-adjacency
+    // entries is decremented at most once, so an extraction makes at most
+    // n + (n + 2m) pops and costs O((n + m) log n).
     let mut heap: BinaryHeap<(usize, Reverse<NodeId>)> = (0..n as NodeId)
         .filter(|&v| gain[v as usize] > 0)
         .map(|v| (gain[v as usize], Reverse(v)))
@@ -168,8 +171,12 @@ pub fn greedy_dominating_set(g: &Graph, alive: &NodeSet) -> Option<NodeSet> {
     while num_covered < n {
         let v = loop {
             let (gv, Reverse(v)) = heap.pop()?;
-            if gain[v as usize] == gv {
+            let current = gain[v as usize];
+            if current == gv {
                 break v;
+            }
+            if current > 0 {
+                heap.push((current, Reverse(v)));
             }
         };
         chosen.insert(v);
@@ -188,17 +195,14 @@ pub fn greedy_dominating_set(g: &Graph, alive: &NodeSet) -> Option<NodeSet> {
         for &u in &newly {
             covered.insert(u);
             num_covered += 1;
-            let decrement = |w: NodeId, gain: &mut Vec<usize>, heap: &mut BinaryHeap<_>| {
+            let decrement = |w: NodeId, gain: &mut Vec<usize>| {
                 if alive.contains(w) && gain[w as usize] > 0 {
                     gain[w as usize] -= 1;
-                    if gain[w as usize] > 0 {
-                        heap.push((gain[w as usize], Reverse(w)));
-                    }
                 }
             };
-            decrement(u, &mut gain, &mut heap);
+            decrement(u, &mut gain);
             for &w in g.neighbors(u) {
-                decrement(w, &mut gain, &mut heap);
+                decrement(w, &mut gain);
             }
         }
     }

@@ -1,15 +1,17 @@
 //! Kernel equivalence proptests: each fast domination path must agree
 //! with an independent computation of the same answer on every
 //! randomized input — the early-exiting k-checks and uncovered lists
-//! against the full dominator count, and the d-hop generalization against
-//! a per-node BFS and the graph power.
+//! against the full dominator count, the d-hop generalization against
+//! a per-node BFS and the graph power, and the lazy-heap greedy against a
+//! quadratic reference that recomputes every gain at every step.
 //!
 //! Thread coverage comes from the CI test matrix, which runs this suite
 //! under `RAYON_NUM_THREADS=1` and `=4`.
 
 use domatic_graph::domination::{
-    d_hop_dominator_count, dilate, dominator_count, is_d_hop_k_dominating_set,
-    is_d_hop_k_dominating_set_scalar, is_k_dominating_set, uncovered_nodes,
+    d_hop_dominator_count, dilate, dominator_count, greedy_dominating_set,
+    is_d_hop_k_dominating_set, is_d_hop_k_dominating_set_scalar, is_k_dominating_set,
+    uncovered_nodes,
 };
 use domatic_graph::generators::gnp::gnp;
 use domatic_graph::nodeset::NodeSet;
@@ -28,8 +30,49 @@ fn arb_set(n: usize, seed: u64) -> NodeSet {
     )
 }
 
+/// The greedy choice rule with nothing carried between steps: at each step
+/// recompute `|N⁺(v) \ covered|` for every alive non-member `v` and take
+/// the largest, the lowest id among ties; `None` once the largest is 0
+/// while nodes are still uncovered.
+fn greedy_reference(g: &Graph, alive: &NodeSet) -> Option<NodeSet> {
+    let mut covered = NodeSet::new(g.n());
+    let mut chosen = NodeSet::new(g.n());
+    let closed = |v: NodeId| std::iter::once(v).chain(g.neighbors(v).iter().copied());
+    while covered.len() < g.n() {
+        // Ids ascend, so the strict `>` keeps the lowest id among ties.
+        let mut best: Option<(usize, NodeId)> = None;
+        for v in g
+            .nodes()
+            .filter(|&v| alive.contains(v) && !chosen.contains(v))
+        {
+            let gain = closed(v).filter(|&u| !covered.contains(u)).count();
+            if best.is_none_or(|(b, _)| gain > b) {
+                best = Some((gain, v));
+            }
+        }
+        match best {
+            Some((gain, v)) if gain > 0 => {
+                chosen.insert(v);
+                closed(v).for_each(|u| {
+                    covered.insert(u);
+                });
+            }
+            _ => return None,
+        }
+    }
+    Some(chosen)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn greedy_matches_the_quadratic_reference(g in arb_graph(), mask in 0u64..u64::MAX) {
+        let masked = arb_set(g.n(), mask);
+        prop_assert_eq!(greedy_dominating_set(&g, &masked), greedy_reference(&g, &masked));
+        let all = NodeSet::full(g.n());
+        prop_assert_eq!(greedy_dominating_set(&g, &all), greedy_reference(&g, &all));
+    }
 
     #[test]
     fn early_exit_checks_match_full_counts(

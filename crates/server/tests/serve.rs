@@ -307,14 +307,29 @@ fn bad_requests_get_typed_errors_without_occupying_capacity() {
         r#"{"id":2,"op":"solve","graph":"ring","alg":"nope"}"#,
         &sink,
     );
+    // 100,000 levels of nesting: a typed error at the parser's depth cap,
+    // not a stack overflow that takes the process down.
+    server.handle_line(&"[".repeat(100_000), &sink);
     server.handle_line("garbage", &sink);
-    let responses = wait_lines(&buf, 3);
+    let responses = wait_lines(&buf, 4);
     let mut kinds: Vec<String> = responses.iter().map(|l| error_kind(l)).collect();
     kinds.sort();
     assert_eq!(
         kinds,
-        vec!["bad_request", "unknown_graph", "unknown_solver"]
+        vec![
+            "bad_request",
+            "bad_request",
+            "unknown_graph",
+            "unknown_solver"
+        ]
     );
+    assert!(
+        responses
+            .iter()
+            .any(|l| l.contains("nesting deeper than 128 at byte 128")),
+        "{responses:?}"
+    );
+    assert_eq!(server.stats().errors, 4);
     assert_eq!(server.stats().inflight, 0);
     assert_eq!(server.stats().solves, 0);
 }

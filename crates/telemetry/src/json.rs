@@ -135,13 +135,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The server parses
+/// every wire line with it, so the recursion is bounded here, not by the
+/// thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value from `text` (whole-input; trailing non-space is
-/// an error). Recursive descent, no recursion-depth guard beyond the
-/// stack: nesting depth is bounded only by the input's length.
+/// an error). Recursive descent; arrays and objects nested more than 128
+/// levels deep are an error (`nesting deeper than 128 at byte N`).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -164,10 +169,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -181,7 +190,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -206,7 +215,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -353,6 +362,22 @@ mod tests {
             ),
         ]);
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}1{}", r#"{"k":"#.repeat(d), "}".repeat(d));
+        assert!(parse(&arrays(128)).is_ok());
+        assert!(parse(&objects(128)).is_ok());
+        assert_eq!(
+            parse(&arrays(129)),
+            Err("nesting deeper than 128 at byte 128".into())
+        );
+        assert_eq!(
+            parse(&objects(129)),
+            Err("nesting deeper than 128 at byte 640".into())
+        );
     }
 
     #[test]
