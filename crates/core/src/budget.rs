@@ -26,8 +26,10 @@ use std::time::Instant;
 /// `deadline_ms` depends on the machine (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Budget {
-    /// Total local-search iterations across the whole solve (every move
-    /// evaluation ticks once). The primary, deterministic cutoff.
+    /// Total local-search iterations across the whole solve: every move
+    /// evaluation ticks once, and the tick that reaches this cap returns
+    /// `false`, so a solve makes at most `max_iterations − 1` moves. The
+    /// primary, deterministic cutoff.
     pub max_iterations: u64,
     /// Optional wall-clock deadline in milliseconds, measured from solve
     /// start on the solver's [`Clock`].
@@ -221,7 +223,7 @@ mod tests {
         let mut m = BudgetMeter::new(&budget, &clock);
         assert!(m.tick());
         assert!(m.tick());
-        assert!(!m.tick()); // third iteration is the last
+        assert!(!m.tick()); // the third tick reaches the cap: two moves ran
         assert!(!m.tick()); // sticky
         assert_eq!(m.iterations(), 3);
         assert!(m.exhausted());

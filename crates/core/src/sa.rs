@@ -28,7 +28,7 @@ use crate::error::DomaticError;
 use crate::local_search::{run_restarts, CoverState};
 use crate::solver::{check_sizes, effective_graph, DiscardIncumbent, Incumbent};
 use crate::solver::{Solver, SolverConfig};
-use domatic_graph::{Graph, NodeId, NodeSet};
+use domatic_graph::{Graph, NodeSet};
 use domatic_schedule::{Batteries, Schedule};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -41,8 +41,9 @@ const T_INITIAL: f64 = 0.6;
 const COOLING: f64 = 0.995;
 /// Temperature floor below which uphill moves are effectively dead.
 const T_FLOOR: f64 = 0.01;
-/// Per-peel move cap as a multiple of `n` (same budget-spreading role as
-/// in the tabu solver).
+/// Per-peel move cap as a multiple of `n`, as in the tabu solver. The
+/// temperature floor ends a peel first from `n = 205` on: it stops after
+/// 817 moves, since `0.6 · 0.995^817 < 0.01`.
 const PEEL_MOVE_FACTOR: usize = 4;
 
 /// Anytime simulated-annealing solver; see the module docs for the move
@@ -108,8 +109,8 @@ impl Solver for SaSolver {
 }
 
 /// Refines one dominating set by annealing; returns the smallest
-/// dominating set found (the seed set if the budget is already spent).
-fn anneal_refine(
+/// dominating set found.
+pub(crate) fn anneal_refine(
     g: &Graph,
     alive: &NodeSet,
     seed_ds: NodeSet,
@@ -120,16 +121,18 @@ fn anneal_refine(
     let move_cap = PEEL_MOVE_FACTOR * n.max(16);
     let mut st = CoverState::new(g, seed_ds);
     let mut best = st.set.clone();
+    let (mut members, mut holes, mut candidates) = (Vec::new(), Vec::new(), Vec::new());
     let mut temp = T_INITIAL;
     let mut local = 0usize;
     while local < move_cap && temp > T_FLOOR && meter.tick() {
         local += 1;
-        let members: Vec<NodeId> = st.set.iter().collect();
+        members.clear();
+        members.extend(st.set.iter());
         if members.is_empty() {
             break;
         }
         let v = members[rng.random_range(0..members.len())];
-        let holes = st.holes_after_remove(v);
+        st.holes_after_remove(v, &mut holes);
         if holes.is_empty() {
             // Downhill: v is redundant, drop it.
             st.remove(v);
@@ -138,17 +141,18 @@ fn anneal_refine(
                 meter.note_improvement();
             }
         } else {
-            let candidates = st.swap_candidates(v, &holes, alive);
+            st.swap_candidates(v, &holes, alive, &mut candidates);
             if !candidates.is_empty() {
                 // Plateau: exchange v for a hole-cover.
                 let w = candidates[rng.random_range(0..candidates.len())];
                 st.remove(v);
                 st.insert(w);
             } else if rng.random::<f64>() < (-1.0 / temp).exp() {
-                // Uphill: grow the set to open new removal paths later.
-                let outside: Vec<NodeId> = alive.iter().filter(|&w| !st.set.contains(w)).collect();
-                if !outside.is_empty() {
-                    let w = outside[rng.random_range(0..outside.len())];
+                // Uphill: grow the set by any alive non-member to open
+                // new removal paths later.
+                candidates.extend(alive.iter().filter(|&w| !st.set.contains(w)));
+                if !candidates.is_empty() {
+                    let w = candidates[rng.random_range(0..candidates.len())];
                     st.insert(w);
                 }
             }
@@ -164,8 +168,10 @@ mod tests {
     use crate::budget::{Budget, ManualClock};
     use crate::greedy::greedy_general_schedule;
     use crate::solver::TraceIncumbent;
+    use domatic_graph::domination::greedy_dominating_set;
     use domatic_graph::generators::gnp::gnp_with_avg_degree;
     use domatic_schedule::validate_schedule;
+    use rand::SeedableRng;
 
     #[test]
     fn sa_is_deterministic_and_valid() {
@@ -213,6 +219,23 @@ mod tests {
             last = s.lifetime();
         }
         assert_eq!(trace.best().unwrap(), &best);
+    }
+
+    #[test]
+    fn temperature_floor_ends_a_peel_after_817_moves() {
+        // 0.6 · 0.995^817 < 0.01, so from n = 205 (a 4n cap of 820) the
+        // floor ends a peel; at n = 204 the cap's 816 moves come first.
+        for (n, moves) in [(204, 816), (205, 817), (300, 817)] {
+            let g = gnp_with_avg_degree(n, 12.0, 5);
+            let alive = NodeSet::full(n);
+            let seed_ds = greedy_dominating_set(&g, &alive).unwrap();
+            let budget = Budget::new();
+            let clock = ManualClock::new();
+            let mut meter = BudgetMeter::new(&budget, &clock);
+            let mut rng = StdRng::seed_from_u64(1);
+            anneal_refine(&g, &alive, seed_ds, &mut rng, &mut meter);
+            assert_eq!(meter.iterations(), moves, "n = {n}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::error::DomaticError;
 use crate::local_search::{run_restarts, CoverState};
 use crate::solver::{check_sizes, effective_graph, DiscardIncumbent, Incumbent};
 use crate::solver::{Solver, SolverConfig};
-use domatic_graph::{Graph, NodeId, NodeSet};
+use domatic_graph::{Graph, NodeSet};
 use domatic_schedule::{Batteries, Schedule};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -105,8 +105,8 @@ impl Solver for TabuSolver {
 }
 
 /// Refines one dominating set with tabu search; returns the smallest
-/// dominating set found (the seed set if the budget is already spent).
-fn tabu_refine(
+/// dominating set found.
+pub(crate) fn tabu_refine(
     g: &Graph,
     alive: &NodeSet,
     batteries: &Batteries,
@@ -122,6 +122,7 @@ fn tabu_refine(
     // tabu_until[v]: moves involving v are forbidden while the local move
     // counter is below this.
     let mut tabu_until = vec![0u64; n];
+    let (mut members, mut holes, mut candidates) = (Vec::new(), Vec::new(), Vec::new());
     let mut local: u64 = 0;
     while (local as usize) < move_cap && meter.tick() {
         local += 1;
@@ -145,21 +146,15 @@ fn tabu_refine(
         }
         // Sideways move: swap a random non-tabu member for a cover of its
         // holes; reshapes the set so new redundancies can appear.
-        let members: Vec<NodeId> = st
-            .set
-            .iter()
-            .filter(|&v| tabu_until[v as usize] <= local)
-            .collect();
+        members.clear();
+        members.extend(st.set.iter().filter(|&v| tabu_until[v as usize] <= local));
         if members.is_empty() {
             continue; // everything tabu; let tenures expire
         }
         let v = members[rng.random_range(0..members.len())];
-        let holes = st.holes_after_remove(v);
-        let candidates: Vec<NodeId> = st
-            .swap_candidates(v, &holes, alive)
-            .into_iter()
-            .filter(|&w| tabu_until[w as usize] <= local)
-            .collect();
+        st.holes_after_remove(v, &mut holes);
+        st.swap_candidates(v, &holes, alive, &mut candidates);
+        candidates.retain(|&w| tabu_until[w as usize] <= local);
         if candidates.is_empty() {
             // No legal swap: make v tabu so the walk tries elsewhere.
             tabu_until[v as usize] = local + tenure;
@@ -240,8 +235,9 @@ mod tests {
         let cfg = SolverConfig::new()
             .trials(8)
             .budget(Budget::new().max_iterations(u64::MAX).deadline_ms(500));
-        // With the deadline pre-expired the refiner degrades to identity,
-        // so the solve returns exactly the greedy baseline.
+        // With the deadline pre-expired the first tick stops the meter,
+        // so the first build ends on the baseline and the solve returns
+        // exactly the greedy baseline.
         let s = solver.schedule(&g, &b, &cfg).unwrap();
         assert_eq!(s, greedy_general_schedule(&g, &b));
     }

@@ -478,7 +478,11 @@ impl Server {
     /// the superseded version's cache entries are retired. Returns the
     /// rendered mutate result payload.
     fn apply_mutation(&self, req: &Request) -> Result<String, DomaticError> {
-        let delta = req.delta.as_ref().expect("mutate request carries a delta");
+        let Some(delta) = req.delta.as_ref() else {
+            return Err(DomaticError::BadRequest {
+                message: "mutate request carries no delta".into(),
+            });
+        };
         let mut graphs = wlock(&self.graphs);
         let named = graphs
             .get_mut(&req.graph)
@@ -616,16 +620,12 @@ impl Server {
             self.respond_err(sink, req.id, &e);
             return;
         }
-        if req.op == Op::Adapt && FailureModel::parse(&req.failures, req.p).is_none() {
-            let e = DomaticError::BadRequest {
-                message: format!(
-                    "unknown failure model '{}' (none|crash|battery-noise|transient-loss|all)",
-                    req.failures
-                ),
-            };
-            self.tracer.shed(&rt, "unknown_failure_model");
-            self.respond_err(sink, req.id, &e);
-            return;
+        if req.op == Op::Adapt {
+            if let Err(e) = failure_models(&req) {
+                self.tracer.shed(&rt, "unknown_failure_model");
+                self.respond_err(sink, req.id, &e);
+                return;
+            }
         }
 
         let spec = JobSpec {
@@ -1089,7 +1089,7 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, Instant), DomaticError> {
         }
         Op::Adapt => {
             let solver = make_solver(&req.alg)?;
-            let models = FailureModel::parse(&req.failures, req.p).expect("validated at submit");
+            let models = failure_models(req)?;
             let plan = FailurePlan::draw(&models, g.n(), req.slots, req.cfg.seed);
             let acfg = AdaptiveConfig {
                 k: req.cfg.k,
@@ -1124,6 +1124,17 @@ fn compute_payload(spec: &JobSpec) -> Result<(String, Instant), DomaticError> {
     }
 }
 
+/// The failure models an `adapt` request names, or the `BadRequest` an
+/// unknown name gets.
+fn failure_models(req: &Request) -> Result<Vec<FailureModel>, DomaticError> {
+    FailureModel::parse(&req.failures, req.p).ok_or_else(|| DomaticError::BadRequest {
+        message: format!(
+            "unknown failure model '{}' (none|crash|battery-noise|transient-loss|all)",
+            req.failures
+        ),
+    })
+}
+
 fn render_stats(s: &ServerStatsSnapshot) -> String {
     format!(
         "{{\"batch_joined\":{},\"cache_bytes\":{},\"cache_entries\":{},\"cache_evictions\":{},\"cache_hits\":{},\"cache_misses\":{},\"connections\":{},\"deadline_expired\":{},\"errors\":{},\"inflight\":{},\"lineage_invalidations\":{},\"mutations\":{},\"overloads\":{},\"requests\":{},\"shed_join\":{},\"shed_miss\":{},\"solves\":{}}}",
@@ -1149,4 +1160,30 @@ fn render_stats(s: &ServerStatsSnapshot) -> String {
 
 fn json_str(s: &str) -> String {
     domatic_telemetry::json::Json::Str(s.to_string()).render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use domatic_graph::generators::regular::cycle;
+
+    #[test]
+    fn mutate_without_a_delta_is_a_bad_request() {
+        let server = Server::new(ServerConfig::default());
+        server.add_graph("c9", cycle(9));
+        let line = r#"{"id":1,"op":"mutate","graph":"c9","action":"add_node"}"#;
+        let mut req = protocol::parse_request(line).expect("a valid mutate request");
+        req.delta = None;
+        match server.apply_mutation(&req) {
+            Err(DomaticError::BadRequest { message }) => {
+                assert_eq!(message, "mutate request carries no delta")
+            }
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+        // The graph kept its first version.
+        assert_eq!(
+            server.graph_lineage("c9").map(|(_, version)| version),
+            Some(0)
+        );
+    }
 }

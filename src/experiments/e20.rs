@@ -104,6 +104,11 @@ pub fn measure() -> Vec<Row> {
 
 /// Runs E20 and returns its tables.
 pub fn run() -> Vec<Table> {
+    tables(measure())
+}
+
+/// Renders measured rows as E20's table.
+fn tables(rows: Vec<Row>) -> Vec<Table> {
     let mut t = Table::new(
         "E20 / solver portfolio — paper algorithms vs local search vs exact LP",
         &[
@@ -119,7 +124,7 @@ pub fn run() -> Vec<Table> {
             "lp_opt",
         ],
     );
-    for row in measure() {
+    for row in rows {
         let mut cells = vec![row.family, row.n.to_string(), row.batteries_label];
         for (_, lifetime) in &row.lifetimes {
             cells.push(lifetime.map_or("—".to_string(), |l| l.to_string()));
@@ -146,7 +151,8 @@ mod tests {
 
     /// The acceptance bar: tabu, sa, and portfolio beat or match greedy
     /// on every generator-zoo row, and nothing beats the exact optimum
-    /// where the LP completed.
+    /// where the LP completed. The rendered table is pinned byte for byte
+    /// at any thread count.
     #[test]
     fn anytime_solvers_never_lose_to_greedy_and_respect_the_lp() {
         let rows = measure();
@@ -180,5 +186,12 @@ mod tests {
             }
         }
         assert!(lp_rows >= 2, "the LP column must complete on small rows");
+        let tables = tables(rows);
+        assert_eq!(
+            crate::experiments::table::rendered_digest(&tables),
+            "10dec46bf87ecf91",
+            "{}",
+            tables[0].render()
+        );
     }
 }
