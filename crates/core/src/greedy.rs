@@ -7,7 +7,6 @@
 //! `Ω(√n)` off (reproduced by `domatic_graph::generators::fujita` and
 //! experiment E6).
 
-use crate::partition::schedule_battery_limited;
 use domatic_graph::domination::greedy_dominating_set;
 use domatic_graph::{Graph, NodeId, NodeSet};
 use domatic_schedule::{Batteries, EnergyLedger, Schedule};
@@ -75,15 +74,6 @@ pub fn greedy_general_schedule(g: &Graph, batteries: &Batteries) -> Schedule {
         schedule.push(ds, d);
     }
     schedule
-}
-
-/// Number of disjoint dominating sets greedy finds, plus the schedule it
-/// induces — convenience for experiment E6's table rows.
-pub fn greedy_partition_stats(g: &Graph, b: u64) -> (usize, Schedule) {
-    let classes = greedy_domatic_partition(g);
-    let len = classes.len();
-    let schedule = schedule_battery_limited(&classes, &Batteries::uniform(g.n(), b));
-    (len, schedule)
 }
 
 #[cfg(test)]
@@ -175,14 +165,6 @@ mod tests {
         let g = Graph::empty(0);
         assert!(greedy_domatic_partition(&g).is_empty());
         assert!(greedy_general_schedule(&g, &Batteries::uniform(0, 3)).is_empty());
-    }
-
-    #[test]
-    fn stats_report_matches_partition() {
-        let g = complete(5);
-        let (k, s) = greedy_partition_stats(&g, 2);
-        assert_eq!(k, 5);
-        assert_eq!(s.lifetime(), 10);
     }
 
     use domatic_graph::Graph;

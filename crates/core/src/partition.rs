@@ -5,9 +5,8 @@
 //! the color classes are interpreted as a (hoped-for) domatic partition and
 //! activated consecutively. This module holds the shared machinery.
 
-use domatic_graph::domination::is_dominating_set;
-use domatic_graph::{Graph, NodeId, NodeSet};
-use domatic_schedule::{Batteries, EnergyLedger, Schedule};
+use domatic_graph::{NodeId, NodeSet};
+use domatic_schedule::Schedule;
 
 /// A coloring of the nodes produced by a randomized partition algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,16 +41,6 @@ impl ColorAssignment {
                 .map(|(v, _)| v as NodeId),
         )
     }
-
-    /// Indices of classes that really are dominating sets of `g`.
-    pub fn dominating_classes(&self, g: &Graph) -> Vec<u32> {
-        self.classes(g.n())
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| is_dominating_set(g, s))
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
 }
 
 /// Activates `classes` consecutively, giving each class the same fixed
@@ -59,29 +48,6 @@ impl ColorAssignment {
 /// Algorithm 2 (`duration = 1`).
 pub fn schedule_fixed_duration(classes: &[NodeSet], duration: u64) -> Schedule {
     Schedule::from_entries(classes.iter().map(|c| (c.clone(), duration)))
-}
-
-/// Activates `classes` consecutively, giving each class the *longest
-/// duration its batteries allow* (the bottleneck member's remaining
-/// budget). Skips classes already empty of budget. This squeezes strictly
-/// more lifetime out of a partition than fixed durations when batteries
-/// are non-uniform; used by the greedy baseline and by E10's ablation.
-pub fn schedule_battery_limited(classes: &[NodeSet], batteries: &Batteries) -> Schedule {
-    let mut ledger = EnergyLedger::new(batteries.clone());
-    let mut schedule = Schedule::new();
-    for class in classes {
-        if class.is_empty() {
-            continue;
-        }
-        let d = ledger.max_duration(class);
-        if d > 0 {
-            ledger
-                .charge(class, d)
-                .expect("duration chosen within budget");
-            schedule.push(class.clone(), d);
-        }
-    }
-    schedule
 }
 
 /// Checks that `classes` are pairwise disjoint (a partition *prefix*; not
@@ -100,7 +66,6 @@ pub fn are_disjoint(classes: &[NodeSet]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domatic_graph::generators::regular::complete;
 
     #[test]
     fn classes_materialization() {
@@ -119,47 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn dominating_classes_on_k4() {
-        let g = complete(4);
-        let ca = ColorAssignment {
-            colors: vec![0, 0, 1, 2],
-            num_classes: 3,
-            guaranteed_classes: 3,
-        };
-        // Every nonempty class dominates K_4.
-        assert_eq!(ca.dominating_classes(&g), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn fixed_duration_schedule() {
         let classes = vec![NodeSet::from_iter(3, [0]), NodeSet::from_iter(3, [1, 2])];
         let s = schedule_fixed_duration(&classes, 4);
         assert_eq!(s.lifetime(), 8);
         assert_eq!(s.num_steps(), 2);
-    }
-
-    #[test]
-    fn battery_limited_uses_bottleneck() {
-        let classes = vec![NodeSet::from_iter(3, [0, 1]), NodeSet::from_iter(3, [2])];
-        let b = Batteries::from_vec(vec![5, 2, 7]);
-        let s = schedule_battery_limited(&classes, &b);
-        assert_eq!(s.entries()[0].duration, 2); // bottleneck node 1
-        assert_eq!(s.entries()[1].duration, 7);
-        assert_eq!(s.lifetime(), 9);
-    }
-
-    #[test]
-    fn battery_limited_skips_exhausted_and_empty() {
-        let classes = vec![
-            NodeSet::from_iter(2, [0]),
-            NodeSet::new(2),
-            NodeSet::from_iter(2, [0]), // same node again: exhausted
-            NodeSet::from_iter(2, [1]),
-        ];
-        let b = Batteries::from_vec(vec![3, 1]);
-        let s = schedule_battery_limited(&classes, &b);
-        assert_eq!(s.num_steps(), 2);
-        assert_eq!(s.lifetime(), 4);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl PortfolioSolver {
             ],
         }
     }
-
-    /// The member names, in tie-break priority order.
-    pub fn member_names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
 }
 
 impl Default for PortfolioSolver {
@@ -199,9 +194,11 @@ mod tests {
 
     #[test]
     fn member_list_is_pinned() {
-        assert_eq!(
-            PortfolioSolver::new().member_names(),
-            vec!["greedy", "general", "uniform", "tabu", "sa"]
-        );
+        let names: Vec<&str> = PortfolioSolver::new()
+            .members
+            .iter()
+            .map(|m| m.name())
+            .collect();
+        assert_eq!(names, vec!["greedy", "general", "uniform", "tabu", "sa"]);
     }
 }

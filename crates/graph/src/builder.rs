@@ -70,11 +70,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<&mut Self, GraphError> {
         if (u as usize) >= self.n {
@@ -87,17 +82,6 @@ impl GraphBuilder {
             return Err(GraphError::SelfLoop { node: u });
         }
         self.edges.push((u, v));
-        Ok(self)
-    }
-
-    /// Adds every edge from an iterator, stopping at the first error.
-    pub fn add_edges<I>(&mut self, edges: I) -> Result<&mut Self, GraphError>
-    where
-        I: IntoIterator<Item = (NodeId, NodeId)>,
-    {
-        for (u, v) in edges {
-            self.add_edge(u, v)?;
-        }
         Ok(self)
     }
 
@@ -141,8 +125,9 @@ mod tests {
     #[test]
     fn duplicate_edges_collapse() {
         let mut b = GraphBuilder::new(2);
-        b.add_edges([(0, 1), (1, 0), (0, 1)]).unwrap();
-        assert_eq!(b.pending_edges(), 3);
+        for (u, v) in [(0, 1), (1, 0), (0, 1)] {
+            b.add_edge(u, v).unwrap();
+        }
         assert_eq!(b.build().m(), 1);
     }
 

@@ -5,7 +5,7 @@
 //! lifetime heuristics on top.
 
 use crate::csr::{Graph, NodeId};
-use crate::domination::{greedy_dominating_set, is_dominating_set, make_minimal};
+use crate::domination::{greedy_dominating_set, is_dominating_set};
 use crate::nodeset::NodeSet;
 use std::collections::VecDeque;
 
@@ -151,13 +151,6 @@ pub fn max_distance_to_set(g: &Graph, set: &NodeSet) -> Option<u32> {
     dist.into_iter().max()
 }
 
-/// Reduces a CDS to a minimal dominating set ignoring connectivity —
-/// convenience for comparing sizes (a CDS pays a connectivity premium
-/// over [`make_minimal`]'s plain dominating set).
-pub fn strip_to_minimal_ds(g: &Graph, cds: &NodeSet) -> NodeSet {
-    make_minimal(g, cds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,15 +263,5 @@ mod tests {
             max_distance_to_set(&k, &NodeSet::from_iter(4, [1])),
             Some(1)
         );
-    }
-
-    #[test]
-    fn strip_to_minimal_reduces() {
-        let g = cycle(9);
-        let cds = greedy_connected_dominating_set(&g, &NodeSet::full(9)).unwrap();
-        let ds = strip_to_minimal_ds(&g, &cds);
-        assert!(is_dominating_set(&g, &ds));
-        assert!(ds.len() <= cds.len());
-        assert_eq!(ds.len(), 3); // γ(C_9) = 3
     }
 }

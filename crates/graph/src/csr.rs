@@ -9,7 +9,6 @@
 //! every algorithm in the workspace treats `Graph` as shared read-only data,
 //! which makes parallel traversal trivially data-race free.
 
-use rayon::prelude::*;
 use std::fmt;
 
 /// Identifier of a node: a dense index in `0..n`.
@@ -21,7 +20,8 @@ pub type NodeId = u32;
 
 /// An immutable undirected graph in CSR form.
 ///
-/// Invariants (enforced by the builder and checked by `debug_assert`s):
+/// Invariants (established by every constructor; the tests check the
+/// last one with [`Graph::is_symmetric`]):
 /// - `offsets.len() == n + 1`, `offsets[0] == 0`, `offsets` is non-decreasing
 ///   and `offsets[n] == targets.len()`.
 /// - every adjacency list `targets[offsets[v]..offsets[v+1]]` is strictly
@@ -34,41 +34,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph directly from CSR arrays.
-    ///
-    /// This is the low-level constructor used by [`crate::builder`]; most
-    /// callers should use [`Graph::from_edges`] or a generator instead.
-    ///
-    /// # Panics
-    /// Panics if the CSR invariants listed on [`Graph`] do not hold.
-    pub fn from_csr(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have length n + 1 >= 1");
-        assert_eq!(offsets[0], 0, "offsets[0] must be 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            targets.len(),
-            "offsets[n] must equal targets.len()"
-        );
-        let n = offsets.len() - 1;
-        for v in 0..n {
-            assert!(
-                offsets[v] <= offsets[v + 1],
-                "offsets must be non-decreasing"
-            );
-            let adj = &targets[offsets[v]..offsets[v + 1]];
-            for w in adj.windows(2) {
-                assert!(w[0] < w[1], "adjacency of {v} must be strictly sorted");
-            }
-            for &u in adj {
-                assert!((u as usize) < n, "neighbor {u} of {v} out of range");
-                assert_ne!(u as usize, v, "self-loop at {v}");
-            }
-        }
-        let g = Graph { offsets, targets };
-        debug_assert!(g.is_symmetric(), "CSR adjacency must be symmetric");
-        g
-    }
-
     /// Builds an undirected graph on `n` nodes from an edge list.
     ///
     /// Edges may appear in any order and in either orientation; duplicates
@@ -215,27 +180,14 @@ impl Graph {
         best
     }
 
-    /// Checks symmetry of the adjacency structure (used in debug
-    /// assertions). Large graphs fan the per-node check out across the
-    /// rayon pool; an asymmetric pair found by any worker cancels the
-    /// remaining chunks.
+    /// Whether the adjacency is symmetric (`u ∈ N(v) ⇔ v ∈ N(u)`): the
+    /// invariant the property tests check on every generated graph.
     pub fn is_symmetric(&self) -> bool {
-        let node_ok = |u: NodeId| {
+        self.nodes().all(|u| {
             self.neighbors(u)
                 .iter()
                 .all(|&v| self.neighbors(v).binary_search(&u).is_ok())
-        };
-        if crate::use_parallel(self.n()) {
-            (0..self.n() as NodeId).into_par_iter().all(node_ok)
-        } else {
-            self.nodes().all(node_ok)
-        }
-    }
-
-    /// Total memory of the CSR arrays in bytes (diagnostics).
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.targets.len() * std::mem::size_of::<NodeId>()
+        })
     }
 
     /// The `d`-th graph power `G^d`: same nodes, with an edge `{u, v}`
@@ -389,27 +341,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn from_edges_rejects_out_of_range() {
         let _ = Graph::from_edges(2, &[(0, 2)]);
-    }
-
-    #[test]
-    fn from_csr_roundtrip() {
-        let g = triangle();
-        let offsets = (0..=g.n())
-            .map(|v| if v == 0 { 0 } else { g.offsets[v] })
-            .collect::<Vec<_>>();
-        let g2 = Graph::from_csr(offsets, g.targets.clone());
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loop")]
-    fn from_csr_rejects_self_loop() {
-        let _ = Graph::from_csr(vec![0, 1], vec![0]);
-    }
-
-    #[test]
-    fn memory_bytes_positive() {
-        assert!(triangle().memory_bytes() > 0);
     }
 
     #[test]

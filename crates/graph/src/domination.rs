@@ -15,13 +15,14 @@
 //! order with one `NodeSet` probe per node. [`dominator_count`] walks the
 //! whole neighborhood, because its callers use the number; the
 //! k-domination checks and [`uncovered_nodes`] stop a node's walk at its
-//! `k`-th dominator. Whole-graph checks fan the nodes out across the rayon
-//! pool from [`crate::PAR_DISPATCH_THRESHOLD`] nodes on.
+//! `k`-th dominator. Whole-graph checks are one sequential pass over the
+//! nodes: the condition is local to each closed neighborhood, and the
+//! walk is cheap enough that fanning it out across threads costs more
+//! than it saves.
 
 use crate::csr::{Graph, NodeId};
 use crate::nodeset::NodeSet;
 use domatic_telemetry::count;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -50,39 +51,22 @@ fn has_k_dominators(g: &Graph, set: &NodeSet, v: NodeId, k: usize) -> bool {
 }
 
 /// Whether `set` is a dominating set of `g`.
-///
-/// Graphs with at least [`crate::PAR_DISPATCH_THRESHOLD`] nodes are checked
-/// across the rayon pool (when it has more than one worker). Use
-/// [`is_dominating_set_par`] to force the parallel path.
 pub fn is_dominating_set(g: &Graph, set: &NodeSet) -> bool {
     count!("graph.domination.checks");
     all_k_dominated(g, set, 1)
 }
 
 /// Whether `set` is a k-dominating set of `g` (every node has ≥ k
-/// dominators in its closed neighborhood). Dispatches like
-/// [`is_dominating_set`].
+/// dominators in its closed neighborhood).
 pub fn is_k_dominating_set(g: &Graph, set: &NodeSet, k: usize) -> bool {
     count!("graph.domination.checks");
     all_k_dominated(g, set, k)
 }
 
-/// Shared size-dispatching core of the k-domination predicates.
+/// Shared core of the k-domination predicates: stops at the first
+/// under-dominated node.
 fn all_k_dominated(g: &Graph, set: &NodeSet, k: usize) -> bool {
-    if crate::use_parallel(g.n()) {
-        all_k_dominated_par(g, set, k)
-    } else {
-        g.nodes().all(|v| has_k_dominators(g, set, v, k))
-    }
-}
-
-/// The parallel check: chunks of the node range fan out across the pool,
-/// and the short-circuiting `all` cancels remaining chunks as soon as any
-/// worker finds an under-dominated node.
-fn all_k_dominated_par(g: &Graph, set: &NodeSet, k: usize) -> bool {
-    (0..g.n() as NodeId)
-        .into_par_iter()
-        .all(|v| has_k_dominators(g, set, v, k))
+    g.nodes().all(|v| has_k_dominators(g, set, v, k))
 }
 
 /// All nodes with fewer than `k` dominators in `set` (empty ⇔ k-dominating),
@@ -92,22 +76,6 @@ pub fn uncovered_nodes(g: &Graph, set: &NodeSet, k: usize) -> Vec<NodeId> {
     g.nodes()
         .filter(|&v| !has_k_dominators(g, set, v, k))
         .collect()
-}
-
-/// Forced-parallel domination check.
-///
-/// Semantically identical to [`is_dominating_set`] but always splits the
-/// node range across the rayon pool, regardless of graph size. Most
-/// callers should prefer [`is_dominating_set`], which dispatches by size.
-pub fn is_dominating_set_par(g: &Graph, set: &NodeSet) -> bool {
-    count!("graph.domination.checks");
-    all_k_dominated_par(g, set, 1)
-}
-
-/// Forced-parallel k-domination check; see [`is_dominating_set_par`].
-pub fn is_k_dominating_set_par(g: &Graph, set: &NodeSet, k: usize) -> bool {
-    count!("graph.domination.checks");
-    all_k_dominated_par(g, set, k)
 }
 
 /// Checks that `sets` form a *domatic partition prefix*: pairwise disjoint
@@ -298,8 +266,7 @@ pub fn is_d_hop_dominating_set(g: &Graph, set: &NodeSet, d: usize) -> bool {
 /// equivalently, whether `set` k-dominates the graph power `G^d`.
 ///
 /// `k = 1` runs as `d` whole-set dilations followed by one fullness test;
-/// `k ≥ 2` falls back to a per-node bounded BFS count, parallelized above
-/// [`crate::PAR_DISPATCH_THRESHOLD`].
+/// `k ≥ 2` falls back to a per-node bounded BFS count.
 pub fn is_d_hop_k_dominating_set(g: &Graph, set: &NodeSet, k: usize, d: usize) -> bool {
     count!("graph.domination.checks");
     if d <= 1 {
@@ -312,19 +279,13 @@ pub fn is_d_hop_k_dominating_set(g: &Graph, set: &NodeSet, k: usize, d: usize) -
         }
         return cover.len() == g.n();
     }
-    if crate::use_parallel(g.n()) {
-        (0..g.n() as NodeId)
-            .into_par_iter()
-            .all(|v| d_hop_dominator_count(g, set, v, d) >= k)
-    } else {
-        g.nodes().all(|v| d_hop_dominator_count(g, set, v, d) >= k)
-    }
+    g.nodes().all(|v| d_hop_dominator_count(g, set, v, d) >= k)
 }
 
-/// Reference d-hop check: a sequential per-node bounded BFS, with neither
-/// the dilation shortcut nor the rayon dispatch of
+/// Reference d-hop check: a per-node bounded BFS for every `k` and `d`,
+/// without the dilation shortcut and the `d ≤ 1` walk of
 /// [`is_d_hop_k_dominating_set`]. The equivalence proptests check the fast
-/// path against it.
+/// paths against it.
 pub fn is_d_hop_k_dominating_set_scalar(g: &Graph, set: &NodeSet, k: usize, d: usize) -> bool {
     g.nodes().all(|v| d_hop_dominator_count(g, set, v, d) >= k)
 }
@@ -372,17 +333,6 @@ mod tests {
         assert!(
             after > before,
             "uncovered_nodes must bump the check counter"
-        );
-    }
-
-    #[test]
-    fn parallel_check_matches_sequential() {
-        let g = cycle(50);
-        let s = NodeSet::from_iter(50, (0..50).step_by(3).map(|v| v as NodeId));
-        assert_eq!(is_dominating_set(&g, &s), is_dominating_set_par(&g, &s));
-        assert_eq!(
-            is_k_dominating_set(&g, &s, 2),
-            is_k_dominating_set_par(&g, &s, 2)
         );
     }
 

@@ -42,31 +42,6 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Samples `G(n, m)`: a uniformly random graph with exactly `m` distinct
-/// edges (rejection sampling; requires `m ≤ n(n−1)/2`).
-pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
-    let max = n * n.saturating_sub(1) / 2;
-    assert!(
-        m <= max,
-        "m = {m} exceeds the {max} possible edges on n = {n}"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    let mut edges = Vec::with_capacity(m);
-    while edges.len() < m {
-        let a = rng.random_range(0..n as NodeId);
-        let b = rng.random_range(0..n as NodeId);
-        if a == b {
-            continue;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if chosen.insert(key) {
-            edges.push(key);
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 /// `G(n, p)` with `p` chosen so the *expected average degree* is `d`,
 /// i.e. `p = d / (n − 1)` clamped to `[0, 1]`. Convenient for sweeps that
 /// hold density constant while scaling `n`.
@@ -114,26 +89,6 @@ mod tests {
             (mean - expected).abs() < 0.05 * expected,
             "mean {mean} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn gnm_exact_edge_count() {
-        let g = gnm(50, 200, 7);
-        assert_eq!(g.m(), 200);
-        assert_eq!(g.n(), 50);
-    }
-
-    #[test]
-    fn gnm_full_graph() {
-        let g = gnm(6, 15, 0);
-        assert_eq!(g.m(), 15);
-        assert_eq!(g.min_degree(), Some(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn gnm_rejects_too_many_edges() {
-        let _ = gnm(4, 7, 0);
     }
 
     #[test]

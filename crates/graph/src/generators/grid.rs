@@ -46,11 +46,6 @@ pub fn grid(rows: usize, cols: usize, kind: GridKind, torus: bool) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Square 4-connected grid, the most common experiment topology.
-pub fn square_grid(side: usize) -> Graph {
-    grid(side, side, GridKind::FourConnected, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,7 +60,7 @@ mod tests {
 
     #[test]
     fn corner_degrees() {
-        let g = square_grid(3);
+        let g = grid(3, 3, GridKind::FourConnected, false);
         assert_eq!(g.degree(0), 2); // corner
         assert_eq!(g.degree(1), 3); // edge
         assert_eq!(g.degree(4), 4); // center

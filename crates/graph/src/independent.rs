@@ -12,26 +12,19 @@ use crate::csr::{Graph, NodeId};
 use crate::nodeset::NodeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
-/// Whether `set` is an independent set (no two members adjacent).
-/// Auto-dispatches to the pool on large graphs, like the domination
-/// predicates.
+/// Whether `set` is an independent set (no two members adjacent): half
+/// of [`is_maximal_independent`], the checker the tests hold
+/// [`greedy_mis`] and [`luby_mis`] to.
 pub fn is_independent(g: &Graph, set: &NodeSet) -> bool {
-    if crate::use_parallel(g.n()) {
-        set.to_vec()
-            .into_par_iter()
-            .all(|v| g.neighbors(v).iter().all(|&u| !set.contains(u)))
-    } else {
-        set.iter()
-            .all(|v| g.neighbors(v).iter().all(|&u| !set.contains(u)))
-    }
+    set.iter()
+        .all(|v| g.neighbors(v).iter().all(|&u| !set.contains(u)))
 }
 
 /// Whether `set` is a *maximal* independent set: independent, and every
 /// non-member has a member neighbor. Maximal independence is exactly
 /// independence plus domination, so the second half reuses the
-/// (auto-dispatching) domination check.
+/// domination check.
 pub fn is_maximal_independent(g: &Graph, set: &NodeSet) -> bool {
     is_independent(g, set) && crate::domination::is_dominating_set(g, set)
 }

@@ -90,28 +90,6 @@ pub fn to_edge_list(g: &Graph) -> String {
     out
 }
 
-/// Serializes to Graphviz DOT (undirected), optionally coloring nodes by
-/// a class index (`classes[v] = Some(i)` paints node `v` with palette
-/// color `i`; `None` renders gray). For quick `dot -Tsvg` inspection.
-pub fn to_dot(g: &Graph, classes: Option<&[Option<u32>]>) -> String {
-    const PALETTE: [&str; 8] = [
-        "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860", "#da8bc3", "#8c8c8c",
-    ];
-    let mut out = String::from("graph G {\n  node [style=filled, fontcolor=white];\n");
-    for v in g.nodes() {
-        let color = classes
-            .and_then(|c| c.get(v as usize).copied().flatten())
-            .map(|i| PALETTE[i as usize % PALETTE.len()])
-            .unwrap_or("#aaaaaa");
-        out.push_str(&format!("  {v} [fillcolor=\"{color}\"];\n"));
-    }
-    for (u, v) in g.edges() {
-        out.push_str(&format!("  {u} -- {v};\n"));
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,20 +141,5 @@ mod tests {
         let g = parse_edge_list("n 0\n").unwrap();
         assert_eq!(g.n(), 0);
         assert_eq!(to_edge_list(&g), "n 0\n");
-    }
-
-    #[test]
-    fn dot_export_shape() {
-        let g = cycle(3);
-        let dot = to_dot(&g, None);
-        assert!(dot.starts_with("graph G {"));
-        assert!(dot.contains("0 -- 1;"));
-        assert!(dot.contains("#aaaaaa"));
-        let classes = vec![Some(0u32), Some(1), None];
-        let colored = to_dot(&g, Some(&classes));
-        assert!(colored.contains("#4c72b0")); // class 0 palette entry
-        assert!(colored.contains("#dd8452")); // class 1
-        assert!(colored.contains("#aaaaaa")); // unclassed
-        assert!(colored.ends_with("}\n"));
     }
 }

@@ -9,8 +9,6 @@
 //! (bucket queue, `O(n + m)`).
 
 use crate::csr::{Graph, NodeId};
-use crate::nodeset::NodeSet;
-use crate::subgraph::{induced_subgraph, InducedSubgraph};
 
 /// Result of the core decomposition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,16 +91,6 @@ pub fn core_decomposition(g: &Graph) -> CoreDecomposition {
         degeneracy: current_core,
         order,
     }
-}
-
-/// The k-core as an induced subgraph (may be empty).
-pub fn k_core(g: &Graph, k: u32) -> InducedSubgraph {
-    let dec = core_decomposition(g);
-    let keep = NodeSet::from_iter(
-        g.n(),
-        (0..g.n() as NodeId).filter(|&v| dec.coreness[v as usize] >= k),
-    );
-    induced_subgraph(g, &keep)
 }
 
 #[cfg(test)]
@@ -217,20 +205,7 @@ mod tests {
         assert_eq!(g.min_degree(), Some(3));
         assert_eq!(dec.degeneracy, 3); // BA is 3-degenerate by construction
                                        // …and the 3-core is large.
-        let core = k_core(&g, 3);
-        assert!(core.graph.n() > 100);
-    }
-
-    #[test]
-    fn k_core_subgraph_has_min_degree_k() {
-        let g = gnp_with_avg_degree(100, 10.0, 7);
-        let dec = core_decomposition(&g);
-        let k = dec.degeneracy;
-        let core = k_core(&g, k);
-        assert!(core.graph.n() > 0);
-        assert!(core.graph.min_degree().unwrap() >= k as usize);
-        // The (k+1)-core is empty.
-        assert_eq!(k_core(&g, k + 1).graph.n(), 0);
+        assert!(dec.coreness.iter().filter(|&&c| c >= 3).count() > 100);
     }
 
     use crate::csr::Graph;

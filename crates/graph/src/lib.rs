@@ -39,21 +39,6 @@ pub use builder::{GraphBuilder, GraphError};
 pub use csr::{Graph, NodeId};
 pub use nodeset::NodeSet;
 
-/// Node-count threshold above which whole-graph predicates auto-dispatch
-/// to their parallel implementations (see [`domination::is_dominating_set`]).
-///
-/// Below this, one thread scanning contiguous CSR arrays beats the cost of
-/// fanning chunks out to the pool; above it, the per-node closed-neighborhood
-/// work amortizes the submission overhead. The `_par` variants bypass the
-/// threshold for callers that want to force either path.
-pub const PAR_DISPATCH_THRESHOLD: usize = 4096;
-
-/// Whether a predicate over `n` nodes should take the parallel path:
-/// large enough input, and a pool that actually has more than one worker.
-pub(crate) fn use_parallel(n: usize) -> bool {
-    n >= PAR_DISPATCH_THRESHOLD && rayon::current_num_threads() > 1
-}
-
 /// Convenient glob import: `use domatic_graph::prelude::*;`.
 pub mod prelude {
     pub use crate::builder::{GraphBuilder, GraphError};

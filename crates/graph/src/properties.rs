@@ -1,7 +1,7 @@
 //! Summary statistics of a graph, reported by the experiment harness
 //! alongside each table so instances are auditable.
 
-use crate::csr::{Graph, NodeId};
+use crate::csr::Graph;
 
 /// Degree statistics of a graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,24 +40,6 @@ pub fn density(g: &Graph) -> f64 {
     }
     let max = g.n() * (g.n() - 1) / 2;
     g.m() as f64 / max as f64
-}
-
-/// The degree histogram: `hist[d]` = number of nodes of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let max = g.max_degree().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in g.nodes() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// `δ²⁾_v` for all nodes: the minimum degree in each closed neighborhood
-/// (what Algorithm 1 computes distributedly in one exchange).
-pub fn min_degree_two_hop_all(g: &Graph) -> Vec<usize> {
-    (0..g.n() as NodeId)
-        .map(|v| g.min_degree_closed_neighborhood(v))
-        .collect()
 }
 
 /// A one-line description string for experiment-table headers.
@@ -102,21 +84,6 @@ mod tests {
         assert!((density(&complete(6)) - 1.0).abs() < 1e-12);
         assert_eq!(density(&Graph::empty(10)), 0.0);
         assert_eq!(density(&Graph::empty(1)), 0.0);
-    }
-
-    #[test]
-    fn histogram_of_star() {
-        let h = degree_histogram(&star(5));
-        assert_eq!(h[1], 4);
-        assert_eq!(h[4], 1);
-        assert_eq!(h.iter().sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn two_hop_min_degrees() {
-        let v = min_degree_two_hop_all(&star(4));
-        // Everyone sees a leaf (degree 1) within one hop.
-        assert_eq!(v, vec![1, 1, 1, 1]);
     }
 
     #[test]

@@ -32,27 +32,6 @@ impl EnergyModel {
             sleep_cost: 0.0,
         }
     }
-
-    /// Creates a model from an active:sleep cost ratio.
-    ///
-    /// # Panics
-    /// Panics unless `ratio ≥ 1`.
-    pub fn with_ratio(ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "active/sleep ratio must be ≥ 1, got {ratio}");
-        EnergyModel {
-            active_cost: 1.0,
-            sleep_cost: 1.0 / ratio,
-        }
-    }
-
-    /// Slots of active duty a battery of `capacity` supports (ignoring
-    /// sleep drain) — the `b_v` of the paper's abstraction.
-    pub fn active_slots(&self, capacity: f64) -> u64 {
-        if self.active_cost <= 0.0 {
-            return u64::MAX;
-        }
-        (capacity / self.active_cost).floor() as u64
-    }
 }
 
 impl Default for EnergyModel {
@@ -74,24 +53,5 @@ mod tests {
     #[test]
     fn ideal_sleep_is_free() {
         assert_eq!(EnergyModel::ideal().sleep_cost, 0.0);
-    }
-
-    #[test]
-    fn ratio_constructor() {
-        let m = EnergyModel::with_ratio(1000.0);
-        assert!((m.sleep_cost - 0.001).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "ratio")]
-    fn ratio_below_one_rejected() {
-        EnergyModel::with_ratio(0.5);
-    }
-
-    #[test]
-    fn active_slots_floor() {
-        let m = EnergyModel::standard();
-        assert_eq!(m.active_slots(5.9), 5);
-        assert_eq!(m.active_slots(0.0), 0);
     }
 }

@@ -74,14 +74,6 @@ impl Batteries {
     pub fn to_f64(&self) -> Vec<f64> {
         self.values.iter().map(|&b| b as f64).collect()
     }
-
-    /// Converts to `u32`, saturating (for the exact integral solver).
-    pub fn to_u32(&self) -> Vec<u32> {
-        self.values
-            .iter()
-            .map(|&b| b.min(u32::MAX as u64) as u32)
-            .collect()
-    }
 }
 
 /// Mutable energy ledger: tracks how much active time each node has used
@@ -125,11 +117,6 @@ impl EnergyLedger {
         self.remaining(v) >= duration
     }
 
-    /// Whether every member of `set` can serve `duration` units.
-    pub fn set_can_serve(&self, set: &NodeSet, duration: u64) -> bool {
-        set.iter().all(|v| self.can_serve(v, duration))
-    }
-
     /// Charges every member of `set` for `duration` units.
     ///
     /// Returns `Err(v)` for the first over-budget node, in which case the
@@ -147,24 +134,6 @@ impl EnergyLedger {
     /// Largest duration every member of `set` can still serve.
     pub fn max_duration(&self, set: &NodeSet) -> u64 {
         set.iter().map(|v| self.remaining(v)).min().unwrap_or(0)
-    }
-
-    /// Nodes with exhausted batteries.
-    pub fn depleted(&self) -> NodeSet {
-        let n = self.batteries.n();
-        NodeSet::from_iter(n, (0..n as NodeId).filter(|&v| self.remaining(v) == 0))
-    }
-
-    /// Charges an entire schedule into the ledger (entry by entry, in
-    /// order). On the first over-budget node the ledger keeps every fully
-    /// charged earlier entry and returns `Err((entry_index, node))` —
-    /// the budget-accounting primitive behind schedule splicing: charge
-    /// the executed prefix, then plan the remainder from what's left.
-    pub fn charge_schedule(&mut self, schedule: &crate::Schedule) -> Result<(), (usize, NodeId)> {
-        for (i, e) in schedule.entries().iter().enumerate() {
-            self.charge(&e.set, e.duration).map_err(|v| (i, v))?;
-        }
-        Ok(())
     }
 
     /// The residual budgets as a fresh `Batteries` vector (what a replan
@@ -207,7 +176,6 @@ mod tests {
         assert_eq!(b.max(), 5);
         assert_eq!(b.min(), 1);
         assert_eq!(b.to_f64(), vec![1.0, 5.0, 2.0]);
-        assert_eq!(b.to_u32(), vec![1, 5, 2]);
     }
 
     #[test]
@@ -232,7 +200,7 @@ mod tests {
     fn ledger_charging() {
         let mut led = EnergyLedger::new(Batteries::uniform(3, 2));
         let s = NodeSet::from_iter(3, [0, 1]);
-        assert!(led.set_can_serve(&s, 2));
+        assert!(led.can_serve(0, 2));
         led.charge(&s, 2).unwrap();
         assert_eq!(led.used(0), 2);
         assert_eq!(led.remaining(0), 0);
@@ -254,26 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn charge_schedule_and_residual() {
+    fn residual_is_what_charges_leave() {
         let mut led = EnergyLedger::new(Batteries::from_vec(vec![3, 2, 2]));
-        let s = crate::Schedule::from_entries([
-            (NodeSet::from_iter(3, [0, 1]), 2),
-            (NodeSet::from_iter(3, [2]), 1),
-        ]);
-        led.charge_schedule(&s).unwrap();
-        assert_eq!(led.residual().as_slice(), &[1, 0, 1]);
-        // A second pass over-budgets at entry 0 (node 0 has 1 left, needs
-        // 2); the failed entry charges nothing.
-        let err = led.charge_schedule(&s).unwrap_err();
-        assert_eq!(err, (0, 0));
+        led.charge(&NodeSet::from_iter(3, [0, 1]), 2).unwrap();
+        led.charge(&NodeSet::from_iter(3, [2]), 1).unwrap();
         assert_eq!(led.residual().as_slice(), &[1, 0, 1]);
     }
 
     #[test]
-    fn depleted_and_utilization() {
+    fn utilization_is_the_spent_fraction() {
         let mut led = EnergyLedger::new(Batteries::from_vec(vec![1, 2]));
         led.charge(&NodeSet::from_iter(2, [0]), 1).unwrap();
-        assert_eq!(led.depleted().to_vec(), vec![0]);
         assert!((led.utilization() - 1.0 / 3.0).abs() < 1e-12);
         let empty = EnergyLedger::new(Batteries::from_vec(vec![0, 0]));
         assert_eq!(empty.utilization(), 0.0);

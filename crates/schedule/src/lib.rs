@@ -145,40 +145,6 @@ impl Schedule {
         }
         self.entries.push(ScheduleEntry { set, duration });
     }
-
-    /// Appends every entry of `tail`, merging at the seam via
-    /// [`Schedule::push_merged`].
-    pub fn extend_with(&mut self, tail: &Schedule) {
-        for e in tail.entries() {
-            self.push_merged(e.set.clone(), e.duration);
-        }
-    }
-
-    /// Splices `tail` into this schedule at absolute time `at`: the result
-    /// executes this schedule for `[0, at)` (splitting a straddling entry)
-    /// and `tail` afterwards. This is the adaptive runtime's replan
-    /// primitive: keep what already ran, replace everything not yet
-    /// executed.
-    pub fn spliced(&self, at: u64, tail: &Schedule) -> Schedule {
-        let mut out = self.truncated(at);
-        out.extend_with(tail);
-        out
-    }
-
-    /// Per-node total active time, as a vector over the universe `n`
-    /// (nodes past any entry's universe count 0) — the budget-accounting
-    /// view used when splicing partial schedules.
-    pub fn active_times(&self, n: usize) -> Vec<u64> {
-        let mut totals = vec![0u64; n];
-        for e in &self.entries {
-            for v in e.set.iter() {
-                if (v as usize) < n {
-                    totals[v as usize] += e.duration;
-                }
-            }
-        }
-        totals
-    }
 }
 
 #[cfg(test)]
@@ -234,32 +200,6 @@ mod tests {
         assert_eq!(s.num_steps(), 2);
         assert_eq!(s.entries()[0].duration, 5);
         assert_eq!(s.lifetime(), 6);
-    }
-
-    #[test]
-    fn splice_preserves_prefix_and_replaces_tail() {
-        let s = Schedule::from_entries([(set(3, &[0]), 4), (set(3, &[1]), 4)]);
-        let tail = Schedule::from_entries([(set(3, &[2]), 2)]);
-        let out = s.spliced(3, &tail);
-        assert_eq!(out.lifetime(), 5);
-        assert_eq!(out.num_steps(), 2);
-        assert_eq!(out.entries()[0].duration, 3); // clipped prefix
-        assert!(out.entries()[1].set.contains(2));
-        // Splicing at the seam of an identical set merges.
-        let same_tail = Schedule::from_entries([(set(3, &[0]), 1)]);
-        let merged = s.spliced(2, &same_tail);
-        assert_eq!(merged.num_steps(), 1);
-        assert_eq!(merged.lifetime(), 3);
-        // Splice past the end appends.
-        assert_eq!(s.spliced(100, &tail).lifetime(), 10);
-    }
-
-    #[test]
-    fn active_times_accounts_budgets() {
-        let s = Schedule::from_entries([(set(3, &[0, 1]), 2), (set(3, &[1]), 3)]);
-        assert_eq!(s.active_times(3), vec![2, 5, 0]);
-        // Requesting a smaller universe drops out-of-range nodes.
-        assert_eq!(s.active_times(1), vec![2]);
     }
 
     #[test]

@@ -93,6 +93,8 @@ impl SolveCache {
             self.bytes -= old.payload.len();
         }
         self.bytes += payload.len();
+        // The new payload fits the budget on its own, so the scan finds
+        // another entry for as long as the cache is over budget.
         let mut evicted = 0;
         while self.bytes > self.capacity_bytes {
             let oldest = self
@@ -100,9 +102,10 @@ impl SolveCache {
                 .iter()
                 .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("over budget implies an evictable entry");
-            let gone = self.entries.remove(&oldest).expect("key from scan");
+                .map(|(k, _)| *k);
+            let Some(gone) = oldest.and_then(|k| self.entries.remove(&k)) else {
+                break;
+            };
             self.bytes -= gone.payload.len();
             evicted += 1;
         }
@@ -114,17 +117,16 @@ impl SolveCache {
     /// in-flight re-inserts. Returns how many entries were dropped.
     pub fn retire_graphs(&mut self, hashes: &[u64]) -> u64 {
         self.retired.extend(hashes.iter().copied());
-        let doomed: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| hashes.contains(&e.graph_hash))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &doomed {
-            let gone = self.entries.remove(k).expect("key from scan");
-            self.bytes -= gone.payload.len();
-        }
-        doomed.len() as u64
+        let mut dropped = 0;
+        self.entries.retain(|_, e| {
+            let doomed = hashes.contains(&e.graph_hash);
+            if doomed {
+                self.bytes -= e.payload.len();
+                dropped += 1;
+            }
+            !doomed
+        });
+        dropped
     }
 
     /// Un-tombstones graph versions that are live again — a mutation
@@ -219,9 +221,17 @@ mod tests {
         let mut c = SolveCache::new(20);
         c.insert(1, G, payload(10));
         c.insert(2, G, payload(10));
+        // A payload of exactly the budget evicts every other entry and
+        // leaves the cache at budget, never itself.
         assert_eq!(c.insert(3, G, payload(20)), 2);
         assert_eq!(c.len(), 1);
+        assert_eq!(c.bytes(), 20);
         assert!(c.get(3).is_some());
+        // Growing an entry to the budget in place evicts only the others.
+        c.insert(3, G, payload(10));
+        c.insert(4, G, payload(10));
+        assert_eq!(c.insert(3, G, payload(20)), 1);
+        assert_eq!((c.len(), c.bytes()), (1, 20));
     }
 
     #[test]

@@ -142,8 +142,7 @@ impl OutQueue {
         let idx = (seq - s.head_seq) as usize;
         s.slots[idx] = Some(bytes);
         let mut promoted = false;
-        while matches!(s.slots.front(), Some(Some(_))) {
-            let line = s.slots.pop_front().flatten().expect("checked Some");
+        while let Some(Some(line)) = s.slots.pop_front_if(|slot| slot.is_some()) {
             s.wire.extend_from_slice(&line);
             s.head_seq += 1;
             promoted = true;

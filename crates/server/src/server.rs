@@ -736,8 +736,8 @@ impl Server {
     fn run_job(self: &Arc<Self>, spec: JobSpec, leader: Arc<ReqTrace>) {
         // Nobody is left to receive the result: close the batch and skip
         // the solve. Deciding and closing under one lock hold keeps a
-        // joiner from slipping in between, so every waiter `finish` sees
-        // here has expired.
+        // joiner from slipping in between, so every waiter answered here
+        // has expired.
         {
             let mut pending = lock(&self.pending);
             if pending
@@ -746,7 +746,12 @@ impl Server {
             {
                 let waiters = pending.remove(&spec.key).unwrap_or_default();
                 drop(pending);
-                self.finish(&waiters, None, SolveSpan::default());
+                self.queued_waiters
+                    .fetch_sub(waiters.len() as u64, Ordering::Relaxed);
+                for w in &waiters {
+                    self.expire(w, SolveSpan::default());
+                }
+                self.release_slot();
                 return;
             }
         }
@@ -804,45 +809,25 @@ impl Server {
         // Close the batch only now that the payload is cached: a request
         // that finds no pending key from here on is answered by the cache.
         let waiters = lock(&self.pending).remove(&spec.key).unwrap_or_default();
-        self.finish(&waiters, Some(outcome), span);
+        self.finish(&waiters, &outcome, span);
     }
 
     /// Fans a job outcome out to the waiters of a closed batch
     /// (deadline-checked per waiter) and releases the in-flight slot.
-    /// `None` means the solve was skipped because every waiter had
-    /// already expired. `span` bounds the solve that served them; each
-    /// waiter's trace completion is charged only the part of it that
-    /// overlaps the waiter's own lifetime.
+    /// `span` bounds the solve that served them; each waiter's trace
+    /// completion is charged only the part of it that overlaps the
+    /// waiter's own lifetime.
     fn finish(
         &self,
         waiters: &[Waiter],
-        outcome: Option<Result<Arc<str>, DomaticError>>,
+        outcome: &Result<Arc<str>, DomaticError>,
         span: SolveSpan,
     ) {
         self.queued_waiters
             .fetch_sub(waiters.len() as u64, Ordering::Relaxed);
         for w in waiters {
-            if w.expired() {
-                bump(
-                    &self.counters.deadline_expired,
-                    "server.deadline.expired",
-                    1,
-                );
-                self.tracer.event(&w.trace, "deadline_expired");
-                self.respond_err(
-                    &w.sink,
-                    w.id,
-                    &DomaticError::DeadlineExceeded {
-                        deadline_ms: w.deadline_ms,
-                    },
-                );
-                self.tracer.finish(&w.trace, "deadline", span);
-                continue;
-            }
-            match outcome
-                .as_ref()
-                .expect("unexpired waiter implies an outcome")
-            {
+            match outcome {
+                _ if w.expired() => self.expire(w, span),
                 Ok(payload) => {
                     self.respond(&w.sink, &protocol::ok_line(w.id, payload));
                     self.tracer.finish(&w.trace, "ok", span);
@@ -853,6 +838,30 @@ impl Server {
                 }
             }
         }
+        self.release_slot();
+    }
+
+    /// Answers a waiter whose deadline passed before its batch closed.
+    fn expire(&self, w: &Waiter, span: SolveSpan) {
+        bump(
+            &self.counters.deadline_expired,
+            "server.deadline.expired",
+            1,
+        );
+        self.tracer.event(&w.trace, "deadline_expired");
+        self.respond_err(
+            &w.sink,
+            w.id,
+            &DomaticError::DeadlineExceeded {
+                deadline_ms: w.deadline_ms,
+            },
+        );
+        self.tracer.finish(&w.trace, "deadline", span);
+    }
+
+    /// Releases a closed batch's in-flight slot, waking a drain that
+    /// waits for the last one.
+    fn release_slot(&self) {
         let mut inflight = lock(&self.inflight);
         *inflight -= 1;
         domatic_telemetry::global().set_gauge("server.inflight", *inflight as u64);

@@ -167,11 +167,6 @@ impl Registry {
         self.gauge(name).set(value);
     }
 
-    /// Current value of a gauge; 0 if it was never set.
-    pub fn gauge_value(&self, name: &str) -> u64 {
-        self.gauges.read().get(name).map_or(0, Gauge::get)
-    }
-
     /// The histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         if let Some(h) = self.hists.read().get(name) {
@@ -242,11 +237,6 @@ impl Registry {
         let stat = spans.entry(path.to_string()).or_default();
         stat.count += 1;
         stat.total_ns += elapsed_ns;
-    }
-
-    /// Aggregate for one span path, if it ever completed.
-    pub fn span_stat(&self, path: &str) -> Option<SpanStat> {
-        self.spans.lock().get(path).copied()
     }
 
     /// Point-in-time copy of everything the registry holds.
@@ -322,11 +312,10 @@ mod tests {
         let r = Registry::new();
         r.set_gauge("threads", 4);
         r.set_gauge("threads", 8);
-        assert_eq!(r.gauge_value("threads"), 8);
-        assert_eq!(r.gauge_value("never"), 0);
-        r.reset();
-        assert_eq!(r.gauge_value("threads"), 8, "reset must keep gauges");
         assert_eq!(r.snapshot().gauges["threads"], 8);
+        assert!(!r.snapshot().gauges.contains_key("never"));
+        r.reset();
+        assert_eq!(r.snapshot().gauges["threads"], 8, "reset must keep gauges");
     }
 
     #[test]
@@ -356,14 +345,15 @@ mod tests {
         let r = Registry::new();
         r.record_span("a/b", 100);
         r.record_span("a/b", 50);
+        let spans = r.snapshot().spans;
         assert_eq!(
-            r.span_stat("a/b"),
-            Some(SpanStat {
+            spans.get("a/b"),
+            Some(&SpanStat {
                 count: 2,
                 total_ns: 150
             })
         );
-        assert_eq!(r.span_stat("a"), None);
+        assert_eq!(spans.get("a"), None);
     }
 
     #[test]

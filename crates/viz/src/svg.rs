@@ -61,16 +61,6 @@ impl SvgDoc {
         self
     }
 
-    /// Adds a filled rectangle.
-    pub fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str) -> &mut Self {
-        writeln!(
-            self.body,
-            r#"<rect x="{x:.2}" y="{y:.2}" width="{w:.2}" height="{h:.2}" fill="{fill}"/>"#
-        )
-        .unwrap();
-        self
-    }
-
     /// Adds a text label (content is escaped).
     pub fn text(&mut self, x: f64, y: f64, size: f64, content: &str) -> &mut Self {
         writeln!(
@@ -91,8 +81,7 @@ impl SvgDoc {
     }
 }
 
-/// The categorical palette used for class coloring (matches
-/// `domatic_graph::io::to_dot`).
+/// The categorical palette used for class coloring.
 pub const PALETTE: [&str; 8] = [
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860", "#da8bc3", "#8c8c8c",
 ];
@@ -111,14 +100,12 @@ mod tests {
         let mut d = SvgDoc::new(100.0, 50.0);
         d.circle(10.0, 10.0, 3.0, "#ff0000")
             .line(0.0, 0.0, 100.0, 50.0, "#000000", 1.0)
-            .rect(5.0, 5.0, 20.0, 10.0, "#00ff00")
             .text(1.0, 49.0, 10.0, "hello");
         let s = d.render();
         assert!(s.starts_with("<svg"));
         assert!(s.trim_end().ends_with("</svg>"));
         assert!(s.contains("<circle"));
         assert!(s.contains("<line"));
-        assert!(s.contains("<rect x=\"5.00\""));
         assert!(s.contains(">hello</text>"));
         assert!(s.contains("viewBox=\"0 0 100 50\""));
     }

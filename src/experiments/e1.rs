@@ -74,6 +74,6 @@ mod tests {
         assert!(s.contains("Figure 1"));
         // All three optimum rows must say 6.
         assert!(s.contains("6.000"));
-        assert!(tables[0].num_rows() == 5);
+        crate::experiments::table::assert_pinned(&tables, &[5], "f71ccac4575007e8");
     }
 }

@@ -95,9 +95,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn failure_rate_monotone_in_c_roughly() {
+        assert_pinned(&run(), &[5, 4], "f38fad79d66d2748");
         // c = 1 must fail at least as often as c = 6 on the same instance.
         let g = Family::Gnp { avg_degree: 70.0 }.build(500, 77);
         let rate = |c: f64| {

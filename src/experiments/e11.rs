@@ -73,9 +73,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn connected_never_beats_plain_partition_size() {
+        assert_pinned(&run(), &[3], "89b127562a9be152");
         let g = Family::Gnp { avg_degree: 50.0 }.build(200, 19 + 200);
         let plain = greedy_domatic_partition(&g).len();
         let connected = greedy_connected_partition(&g).len();

@@ -61,9 +61,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn heuristic_stays_within_bound_across_k() {
+        assert_pinned(&run(), &[6], "9f205d830142eeb6");
         let g = Family::Gnp { avg_degree: 80.0 }.build(300, 29 + 300);
         let b = random_batteries(300, 5, 61 + 300);
         for k in [1usize, 2, 3] {

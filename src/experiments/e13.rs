@@ -79,9 +79,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn overestimates_shrink_ranges() {
+        assert_pinned(&run(), &[7], "2b46dbe72752fcf3");
         let g = Family::Gnp { avg_degree: 120.0 }.build(400, 47);
         let p = UniformParams { c: 3.0, seed: 0 };
         let small = uniform_coloring_with_estimate(&g, 40, &p);

@@ -79,9 +79,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn dominating_strategies_deliver_everything_on_fresh_batteries() {
+        assert_pinned(&run(), &[3], "8386b165d53e8272");
         let g = Family::Rgg { avg_degree: 40.0 }.build(300, 21);
         let tree = AggregationTree::build(&g, 0);
         assert!(tree.spans());

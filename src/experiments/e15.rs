@@ -58,9 +58,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn block_dwell_beats_fine_rotation_under_switch_tax() {
+        assert_pinned(&run(), &[9], "77d4e94aae9da40f");
         let g = Family::Gnp { avg_degree: 80.0 }.build(400, 33);
         let energies = vec![24.0; g.n()];
         let classes = greedy_domatic_partition(&g);

@@ -61,9 +61,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn epochs_strictly_improve_on_a_dense_instance() {
+        assert_pinned(&run(), &[3], "dc95cd4300ab5810");
         let g = Family::Gnp { avg_degree: 150.0 }.build(400, 41 + 400);
         let b = random_batteries(400, 5, 71 + 400);
         let params = GeneralParams { c: 3.0, seed: 9 };

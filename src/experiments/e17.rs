@@ -64,9 +64,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn tuned_dissemination_completes_within_budget() {
+        assert_pinned(&run(), &[6], "fe2bb2d0cd26c11f");
         let g = Family::Rgg { avg_degree: 25.0 }.build(300, 61 + 300);
         let run = disseminate_degrees(
             &g,

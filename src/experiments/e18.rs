@@ -77,10 +77,12 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
     use domatic_graph::domination::is_disjoint_dominating_family;
 
     #[test]
     fn augmentation_never_regresses_and_stays_valid() {
+        assert_pinned(&run(), &[9], "fd93081c581e99af");
         let g = Family::Gnp { avg_degree: 80.0 }.build(300, 83 + 300);
         for input in [
             randomized_valid_classes(&g, 1),

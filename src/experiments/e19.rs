@@ -89,11 +89,13 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     /// The acceptance bar: at a fixed seed, adaptive execution survives at
     /// least as long as static under *every* failure model.
     #[test]
     fn adaptive_never_worse_than_static_under_any_regime() {
+        assert_pinned(&run(), &[8], "5785e465e0f6052b");
         let solver = GeneralSolver;
         let scfg = SolverConfig::new().seed(17).trials(4);
         let g = Family::Gnp { avg_degree: 25.0 }.build(120, 23 + 120);

@@ -128,19 +128,9 @@ mod tests {
 
     #[test]
     fn e2_rows_and_sanity() {
-        let tables = run();
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].num_rows(), 25);
-        assert_eq!(tables[1].num_rows(), 6);
         // Both tables, byte for byte at any thread count, including the
         // dense n = 800 and 1600 rows.
-        assert_eq!(
-            crate::experiments::table::rendered_digest(&tables),
-            "c7be44e771113ec8",
-            "{}{}",
-            tables[0].render(),
-            tables[1].render()
-        );
+        crate::experiments::table::assert_pinned(&run(), &[25, 6], "c7be44e771113ec8");
         // The rendered ratios must all be ≥ 1 (bound is an upper bound);
         // verified structurally by re-running one cell.
         let g = Family::Torus8.build(400, 7 + 400);

@@ -72,16 +72,8 @@ mod tests {
 
     #[test]
     fn e3_shape() {
-        let tables = run();
-        assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].num_rows(), 15);
         // The n = 800 and 1600 rows are the dense checks; the pin holds
         // the whole table byte for byte at any thread count.
-        assert_eq!(
-            crate::experiments::table::rendered_digest(&tables),
-            "cba4703867f46c60",
-            "{}",
-            tables[0].render()
-        );
+        crate::experiments::table::assert_pinned(&run(), &[15], "cba4703867f46c60");
     }
 }

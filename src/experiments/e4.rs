@@ -100,9 +100,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn e4_shape_and_bound_respected() {
+        assert_pinned(&run(), &[12, 3], "3bbd7fe050c0e1b0");
         // Re-run a single cell and check the invariant the table reports.
         let g = Family::Gnp { avg_degree: 40.0 }.build(200, 17 + 200);
         let b = random_batteries(200, 5, 53 + 200);

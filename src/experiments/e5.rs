@@ -76,9 +76,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn e5_bound_and_floor() {
+        assert_pinned(&run(), &[12], "4ecdc5cabdf27a6b");
         let g = Family::Gnp { avg_degree: 60.0 }.build(400, 23 + 400);
         let b = 6u64;
         for k in [1usize, 2, 3] {

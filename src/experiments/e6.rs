@@ -93,9 +93,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn separation_grows() {
+        assert_pinned(&run(), &[6, 5], "9576487195520b14");
         let g4 = fujita_bad_instance(4);
         let g12 = fujita_bad_instance(12);
         let r4 = fujita_optimal_partition_size(4) as f64

@@ -73,9 +73,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn achieves_target_on_a_dense_instance() {
+        assert_pinned(&run(), &[8], "d1063d0d6c0cee65");
         let g = Family::Gnp { avg_degree: 50.0 }.build(400, 1);
         let target = feige_target(&g, 3.0);
         let res = feige_partition(

@@ -85,9 +85,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn costs_are_constant_in_n() {
+        assert_pinned(&run(), &[9, 4], "79d478e6fa78aa19");
         let family = Family::Rgg { avg_degree: 20.0 };
         let g_small = family.build(250, 11 + 250);
         let g_big = family.build(1000, 11 + 1000);

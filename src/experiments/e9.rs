@@ -192,9 +192,11 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table::assert_pinned;
 
     #[test]
     fn rotations_beat_static_clusterings() {
+        assert_pinned(&run(), &[6, 3], "54fcf25d2732f44f");
         let g = Family::Gnp { avg_degree: 80.0 }.build(400, 5);
         let energies = vec![25.0; g.n()];
         let cfg = SimConfig {

@@ -127,12 +127,22 @@ pub fn f3(x: f64) -> String {
 /// The canonical digest of the rendered tables, for pinning an
 /// experiment's exact output in its tests.
 #[cfg(test)]
-pub(crate) fn rendered_digest(tables: &[Table]) -> String {
+fn rendered_digest(tables: &[Table]) -> String {
     let mut hasher = domatic_core::hash::CanonicalHasher::new();
     for t in tables {
         hasher.write_str(&t.render());
     }
     format!("{:016x}", hasher.finish())
+}
+
+/// Pins an experiment's output: `rows[i]` rows in table `i`, and the
+/// rendered bytes by [`rendered_digest`]. A mismatch prints the tables.
+#[cfg(test)]
+pub(crate) fn assert_pinned(tables: &[Table], rows: &[usize], digest: &str) {
+    let rendered: String = tables.iter().map(Table::render).collect();
+    let shape: Vec<usize> = tables.iter().map(Table::num_rows).collect();
+    assert_eq!(shape, rows, "{rendered}");
+    assert_eq!(rendered_digest(tables), digest, "{rendered}");
 }
 
 #[cfg(test)]
